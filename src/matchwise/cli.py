@@ -34,8 +34,11 @@ _STAR_ENUM_WIDTH = 16  # enumerate star sizes only while 2n <= 16
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
-    a = int(lo)
-    b = int(hi) if sep else a
+    try:
+        a = int(lo)
+        b = int(hi) if sep else a
+    except ValueError:
+        raise ParameterError(f"expected an integer or a range lo:hi, got {text!r}") from None
     if b < a:
         raise ParameterError(f"empty range {text!r}")
     return a, b
@@ -109,8 +112,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     mode = "all_maximum" if args.all_maximum else "max_size_only"
     if args.check_stars and not args.all_maximum:
         raise ParameterError("--check-stars requires --all-maximum")
-    report = verify_extremal_characterization(args.n, args.r, args.k,
-                                              mode=mode, workers=args.threads)
+    report = verify_extremal_characterization(args.n, args.r, args.k, mode=mode)
     obj = report.to_json_obj(include_witnesses=args.all_maximum)
     ok = report.bound_met
     if args.check_stars and report.uniqueness_asserted:
@@ -229,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="write to file instead of stdout")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized subcommands (default 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker count for the extremal search")
 
     parser = argparse.ArgumentParser(
         prog="matchwise",
@@ -284,40 +284,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: str, output: str | None) -> None:
+def _emit(payload: str, out) -> None:
     if payload and not payload.endswith("\n"):
         payload += "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    out.write(payload)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not args.output:
+        return _run(args, sys.stdout)
+    try:
+        out = open(args.output, "w")
+    except OSError as exc:
+        # the output file cannot take the diagnostic, so stdout does
+        _emit_error(args, "parameter", f"cannot open --output: {exc}", sys.stdout)
+        return EXIT_PARAMETER
+    with out:
+        return _run(args, out)
+
+
+def _run(args, out) -> int:
     try:
         payload, code = args.func(args)
     except ParameterError as exc:
-        _emit_error(args, "parameter", exc)
+        _emit_error(args, "parameter", exc, out)
         return EXIT_PARAMETER
     except CapacityError as exc:
-        _emit_error(args, "capacity", exc)
+        _emit_error(args, "capacity", exc, out)
         return EXIT_CAPACITY
     except IntegrityError as exc:
-        _emit_error(args, "integrity", exc)
+        _emit_error(args, "integrity", exc, out)
         return EXIT_INTEGRITY
-    _emit(payload, args.output)
+    _emit(payload, out)
     return code
 
 
-def _emit_error(args, kind: str, exc: Exception) -> None:
-    if getattr(args, "format", "text") == "json":
+def _emit_error(args, kind: str, exc, out) -> None:
+    if args.format == "json":
         diagnostic = json.dumps({"schema_version": SCHEMA_VERSION,
                                  "error": {"type": kind, "message": str(exc)}},
                                 indent=2)
-        _emit(diagnostic + "\n", getattr(args, "output", None))
+        _emit(diagnostic + "\n", out)
     print(f"matchwise: {kind} error: {exc}", file=sys.stderr)
 
 

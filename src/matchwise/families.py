@@ -181,7 +181,12 @@ class UniformFamily:
             line = line.strip()
             if not line:
                 continue
-            masks.append(mask_of(int(tok) for tok in line.split(",")))
+            try:
+                labels = [int(tok) for tok in line.split(",")]
+            except ValueError:
+                raise ParameterError(
+                    f"expected comma-separated vertex labels, got {line!r}") from None
+            masks.append(mask_of(labels))
         return cls.from_masks(universe_size, r, masks)
 
     def to_json_obj(self) -> dict:

@@ -15,18 +15,21 @@ once.  Three ingredients keep the tree small:
   always achievable).
 
 When a vertex-relabelling symmetry group of the universe is supplied,
-only orbit representatives are tried as the minimal member, and in
+its action on the members is tabulated once per search: one ``bytes``
+row per group element, mapping each member's index to the index of
+its image (a universe has at most 64 members, so an index fits in a
+byte).  Building the table checks that every element maps every member
+into the universe.  Only orbit representatives (members that no row
+maps to a smaller index) are tried as the minimal member, and in
 witness-collecting modes the found witnesses are expanded back through
-the group, so the reported witness list is always the full one.
-Results are deterministic for a given input regardless of the worker
-count; only the node counter and timings may vary.
+the table one orbit at a time, so the reported witness list is always
+the full one.  Results are deterministic for a given input; only the
+timings vary.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -125,25 +128,15 @@ class SearchResult:
     elapsed: float
 
 
-class _Best:
-    """Monotone best-found bound shared across workers."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-        self._lock = threading.Lock()
-
-    def raise_to(self, value: int) -> None:
-        with self._lock:
-            if value > self.value:
-                self.value = value
-
-
 def _run_root(masks: tuple[int, ...], comp: list[int], k: int,
-              collect: bool, strict_prune: bool, best: _Best,
-              i0: int) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """Explore every family whose minimal member is masks[i0]."""
+              collect: bool, strict_prune: bool, best: int, i0: int
+              ) -> tuple[list[tuple[int, tuple[int, ...]]], int, int]:
+    """Explore every family whose minimal member is masks[i0].
+
+    ``best`` is the largest family size known so far.  Returns the
+    recorded families as (size, member indices) pairs, the node count
+    and the updated best size.
+    """
     km1 = k - 1
     nodes = 0
     records: list[tuple[int, tuple[int, ...]]] = []
@@ -152,13 +145,12 @@ def _run_root(masks: tuple[int, ...], comp: list[int], k: int,
     levels: list[list[int]] = [[(1 << 64) - 1]] + [[] for _ in range(km1)]
 
     def record(depth: int) -> None:
-        b = best.value
-        if depth < b:
+        nonlocal best
+        if depth < best:
             return
-        if depth > b:
-            best.raise_to(depth)
+        best = depth
         if collect:
-            records.append((depth, tuple(masks[j] for j in chosen)))
+            records.append((depth, tuple(chosen)))
 
     def include(i: int, cand: int, depth: int) -> None:
         """Add member i, filter candidates, recurse, undo."""
@@ -193,22 +185,39 @@ def _run_root(masks: tuple[int, ...], comp: list[int], k: int,
         record(depth)
         while cand:
             room = depth + cand.bit_count()
-            b = best.value
-            if room < b or (strict_prune and room == b):
+            if room < best or (strict_prune and room == best):
                 return
             low = cand & -cand
             cand ^= low
             include(low.bit_length() - 1, cand, depth)
 
     include(i0, _bits_above(i0, len(masks)), 0)
-    return records, nodes
+    return records, nodes, best
 
 
 def _bits_above(i: int, total: int) -> int:
     return ((1 << total) - 1) & ~((1 << (i + 1)) - 1)
 
 
-def max_kwise_family(problem: SearchProblem, workers: int = 1) -> SearchResult:
+def _action_table(group: tuple[tuple[int, ...], ...],
+                  masks: tuple[int, ...]) -> list[bytes]:
+    """One row per group element: row[i] is the index of its image of masks[i].
+
+    Every (element, member) pair is checked, since nothing guarantees
+    that the given permutations form a group.
+    """
+    if not group:
+        raise ParameterError("a symmetry group needs at least one element")
+    index = {m: i for i, m in enumerate(masks)}
+    try:
+        return [bytes([index[apply_permutation(g, m)] for m in masks])
+                for g in group]
+    except KeyError:
+        raise ParameterError(
+            "symmetry group does not preserve the universe") from None
+
+
+def max_kwise_family(problem: SearchProblem) -> SearchResult:
     """Exact maximum k-wise intersecting subfamily of the universe.
 
     Modes: "max_size_only" reports just the maximum cardinality;
@@ -229,8 +238,6 @@ def max_kwise_family(problem: SearchProblem, workers: int = 1) -> SearchResult:
     if len(universe) > cap:
         raise CapacityError(
             f"universe has {len(universe)} members, mode {mode} supports {cap}")
-    if workers < 1:
-        raise ParameterError(f"worker count must be positive, got {workers}")
 
     start_time = time.perf_counter()
     masks = universe.sets
@@ -244,60 +251,50 @@ def max_kwise_family(problem: SearchProblem, workers: int = 1) -> SearchResult:
         comp[a] = row
 
     # star lower bound: largest number of members through one vertex
-    star_seed = 0
+    best = 0
     for v in range(universe.universe_size):
         bit = 1 << v
-        star_seed = max(star_seed, sum(1 for s in masks if s & bit))
-    best = _Best(star_seed)
+        best = max(best, sum(1 for s in masks if s & bit))
 
-    roots = list(range(total))
+    roots = range(total)
     group = problem.symmetry
+    action: list[bytes] = []
     if group is not None:
-        mask_set = set(masks)
-        reps = []
-        for i, m in enumerate(masks):
-            images = [apply_permutation(g, m) for g in group]
-            if any(img not in mask_set for img in images):
-                raise ParameterError(
-                    "symmetry group does not preserve the universe")
-            if min(images) == m:
-                reps.append(i)
-        roots = reps
+        action = _action_table(group, masks)
+        roots = [i for i, images in enumerate(zip(*action)) if min(images) >= i]
 
     strict_prune = not collect
     records: list[tuple[int, tuple[int, ...]]] = []
     nodes = 1  # the empty-family root
-    if collect and star_seed == 0:
+    if collect and best == 0:
         records.append((0, ()))
+    for i0 in roots:
+        recs, nd, best = _run_root(masks, comp, k, collect, strict_prune,
+                                   best, i0)
+        records.extend(recs)
+        nodes += nd
 
-    if workers == 1 or len(roots) <= 1:
-        for i0 in roots:
-            recs, nd = _run_root(masks, comp, k, collect, strict_prune, best, i0)
-            records.extend(recs)
-            nodes += nd
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_root, masks, comp, k, collect,
-                                   strict_prune, best, i0) for i0 in roots]
-            for fut in futures:
-                recs, nd = fut.result()
-                records.extend(recs)
-                nodes += nd
-
-    max_size = best.value
+    max_size = best
     witnesses: tuple[UniformFamily, ...] = ()
     all_are_stars: bool | None = None
     star_centers: tuple[int, ...] = ()
     if collect:
         found = {fam for size, fam in records if size == max_size}
-        if group is not None:
-            found = {tuple(sorted(apply_permutation(g, m) for m in fam))
-                     for fam in found for g in group}
+        if action:
+            pending, found = found, set()
+            while pending:
+                fam = pending.pop()
+                orbit = {tuple(sorted([row[i] for i in fam])) for row in action}
+                found |= orbit
+                pending -= orbit
+        # indices ascend with masks, so this is the order of the mask tuples
         ordered = sorted(found)
         if mode == "one_witness":
             ordered = ordered[:1]
-        witnesses = tuple(UniformFamily(universe.universe_size, universe.r, fam)
-                          for fam in ordered)
+        witnesses = tuple(
+            UniformFamily(universe.universe_size, universe.r,
+                          tuple(masks[i] for i in fam))
+            for fam in ordered)
         for w in witnesses:
             if len(w) != max_size or not is_k_wise_intersecting(w, k):
                 raise IntegrityError("collected witness fails verification")
@@ -376,8 +373,7 @@ class ExtremalReport:
 
 
 def verify_extremal_characterization(n: int, r: int, k: int,
-                                     mode: str = "all_maximum",
-                                     workers: int = 1) -> ExtremalReport:
+                                     mode: str = "all_maximum") -> ExtremalReport:
     """Search the union family over M_n and compare with the closed form.
 
     Asserts max_size equals the star bound.  Under the strict
@@ -398,7 +394,7 @@ def verify_extremal_characterization(n: int, r: int, k: int,
 
     universe = matching_universe(n, r)
     problem = SearchProblem(universe, k, mode, matching_symmetry(n))
-    result = max_kwise_family(problem, workers=workers)
+    result = max_kwise_family(problem)
 
     bound = matching_star_bound(n, r).value
     boundary = k * r == (k - 1) * 2 * n

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from matchwise.cli import main
 
 
@@ -95,17 +97,6 @@ def test_circle_actions(capsys):
     assert code == 0 and json.loads(out)["verified"] == 8
 
 
-def test_verify_threads_flag(capsys):
-    base = ["verify", "--n", "3", "--r", "3", "--k", "3", "--all-maximum",
-            "--format", "json"]
-    _, one = run_cli(capsys, *base, "--threads", "1")
-    _, four = run_cli(capsys, *base, "--threads", "4")
-    a, b = json.loads(one), json.loads(four)
-    for volatile in ("elapsed_ms", "explored_nodes"):
-        a.pop(volatile), b.pop(volatile)
-    assert a == b
-
-
 def test_fuzz_deterministic_bytes(capsys):
     argv = ["fuzz", "--target", "assignment", "--trials", "200",
             "--seed", "7", "--format", "json"]
@@ -139,6 +130,91 @@ def test_error_diagnostic_json(capsys):
     assert code == 3
     obj = json.loads(out)
     assert obj["error"]["type"] == "capacity"
+
+
+# (arguments, exit code, diagnostic type) for input that argparse accepts
+# but the subcommand rejects
+MALFORMED = [
+    (["bounds", "--n", "a"], 2, "parameter"),
+    (["bounds", "--n", "3:1"], 2, "parameter"),
+    (["bounds", "--n", "2", "--r", "x"], 2, "parameter"),
+    (["bounds", "--n", "2:"], 2, "parameter"),
+    (["bounds", "--n", "40"], 2, "parameter"),
+    (["enumerate", "--n", "3", "--r", "0"], 2, "parameter"),
+    (["enumerate", "--n", "0", "--r", "1"], 2, "parameter"),
+    (["verify", "--n", "3", "--r", "9", "--k", "3"], 2, "parameter"),
+    (["verify", "--n", "3", "--r", "3", "--k", "1"], 2, "parameter"),
+    (["verify", "--n", "3", "--r", "5", "--k", "3"], 2, "parameter"),
+    (["verify", "--n", "3", "--r", "3", "--k", "3", "--check-stars"], 2, "parameter"),
+    (["verify", "--n", "5", "--r", "5", "--k", "3"], 3, "capacity"),
+    (["circle", "--n", "3", "--action", "saturate"], 2, "parameter"),
+    (["circle", "--n", "3", "--action", "construct"], 2, "parameter"),
+    (["circle", "--n", "0", "--action", "count"], 2, "parameter"),
+    (["circle", "--n", "3", "--r", "9", "--action", "construct"], 2, "parameter"),
+    (["fuzz", "--target", "assignment", "--trials", "0"], 2, "parameter"),
+]
+
+# input that argparse itself rejects: exit 2 before a format is known
+UNPARSABLE = [
+    ["bounds"],
+    ["enumerate", "--n", "3", "--r", "x"],
+    ["enumerate", "--n", "3", "--r", "3", "--kind", "covering"],
+    ["verify", "--n", "a", "--r", "3", "--k", "3"],
+    ["circle", "--n", "3", "--action", "spin"],
+    ["fuzz", "--target", "3"],
+    ["fuzz", "--target", "1", "--trials", "many"],
+    ["bounds", "--n", "2", "--seed", "x"],
+]
+
+# one small valid invocation per subcommand
+VALID = [
+    ["bounds", "--n", "2"],
+    ["enumerate", "--n", "2", "--r", "2"],
+    ["verify", "--n", "2", "--r", "2", "--k", "2"],
+    ["circle", "--n", "2", "--action", "count"],
+    ["fuzz", "--target", "assignment", "--trials", "5"],
+]
+
+
+@pytest.mark.parametrize("argv, code, kind", MALFORMED)
+def test_malformed_arguments(capsys, argv, code, kind):
+    got, out = run_cli(capsys, *argv, "--format", "json")
+    assert got == code
+    obj = json.loads(out)
+    assert obj.keys() == {"schema_version", "error"}
+    assert obj["schema_version"] == "1"
+    assert obj["error"]["type"] == kind and obj["error"]["message"]
+    got, out = run_cli(capsys, *argv)
+    assert got == code and out == ""            # text: diagnostic on stderr only
+
+
+@pytest.mark.parametrize("argv", UNPARSABLE)
+def test_unparsable_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", VALID)
+def test_unwritable_output(tmp_path, capsys, argv):
+    for target in (tmp_path / "missing" / "out.json", tmp_path):
+        code, out = run_cli(capsys, *argv, "--format", "json",
+                            "--output", str(target))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "parameter" and "--output" in error["message"]
+        code, out = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+def test_error_diagnostic_goes_to_output_file(tmp_path, capsys):
+    target = tmp_path / "err.json"
+    code, out = run_cli(capsys, "verify", "--n", "3", "--r", "9", "--k", "3",
+                        "--format", "json", "--output", str(target))
+    assert code == 2 and out == ""
+    assert json.loads(target.read_text())["error"]["type"] == "parameter"
 
 
 def test_output_file(tmp_path, capsys):

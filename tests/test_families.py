@@ -281,6 +281,14 @@ def test_text_round_trip():
     assert again.to_text() == text
 
 
+def test_from_text_rejects_malformed_labels():
+    for text in ("1,x", "1,,2", "1;2", "1,2.0"):
+        with pytest.raises(ParameterError):
+            UniformFamily.from_text(4, 2, text)
+    with pytest.raises(ParameterError):
+        UniformFamily.from_text(4, 2, "0,1")            # labels are 1-based
+
+
 def test_json_round_trip():
     fam = matching_universe(4, 5)
     blob = fam.to_json()

@@ -110,7 +110,7 @@ def test_solver_agrees_with_oracle_on_random_universes(data):
 
 
 # ---------------------------------------------------------------------------
-# modes, symmetry, workers, determinism
+# modes, symmetry, determinism
 # ---------------------------------------------------------------------------
 
 def test_symmetry_does_not_change_results():
@@ -119,15 +119,6 @@ def test_symmetry_does_not_change_results():
     sym = max_kwise_family(SearchProblem(universe, 3, symmetry=matching_symmetry(3)))
     assert plain.max_size == sym.max_size
     assert [w.sets for w in plain.witnesses] == [w.sets for w in sym.witnesses]
-
-
-def test_worker_count_does_not_change_results():
-    universe = matching_universe(4, 5)
-    one = max_kwise_family(SearchProblem(universe, 3))
-    four = max_kwise_family(SearchProblem(universe, 3), workers=4)
-    assert one.max_size == four.max_size
-    assert [w.sets for w in one.witnesses] == [w.sets for w in four.witnesses]
-    assert one.star_centers == four.star_centers
 
 
 def test_modes():
@@ -148,8 +139,6 @@ def test_parameter_and_capacity_errors():
         max_kwise_family(SearchProblem(universe, 1))
     with pytest.raises(ParameterError):
         max_kwise_family(SearchProblem(universe, 3, "everything"))
-    with pytest.raises(ParameterError):
-        max_kwise_family(SearchProblem(universe, 3), workers=0)
     big = complete_uniform_family(10, 4)        # 210 members
     with pytest.raises(CapacityError):
         max_kwise_family(SearchProblem(big, 2, "max_size_only"))
@@ -164,6 +153,19 @@ def test_symmetry_must_preserve_universe():
     skewed = UniformFamily.from_masks(6, 3, universe.sets[:-1])
     with pytest.raises(ParameterError):
         max_kwise_family(SearchProblem(skewed, 3, symmetry=matching_symmetry(3)))
+    # a hole away from the orbit representatives is caught as well
+    group = matching_symmetry(4)
+    universe = matching_universe(4, 5)
+    reps = {min(apply_permutation(g, m) for g in group) for m in universe.sets}
+    for missing in (universe.sets[-1], universe.sets[len(universe) // 2]):
+        assert missing not in reps
+        holed = UniformFamily.from_masks(
+            8, 5, [m for m in universe.sets if m != missing])
+        for mode in ("all_maximum", "max_size_only"):
+            with pytest.raises(ParameterError):
+                max_kwise_family(SearchProblem(holed, 3, mode, group))
+    with pytest.raises(ParameterError):
+        max_kwise_family(SearchProblem(universe, 3, symmetry=()))
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +235,41 @@ def test_characterization_additional_regimes():
     assert report.max_size == 5 and report.witness_count == 6 and report.ok
 
 
-def test_symmetry_differential_across_small_universes():
+def _admissible_ks(n: int, r: int, count: int) -> list[int]:
+    """The ``count`` smallest k >= 2 with k*r <= (k-1)*2n."""
+    ks, k = [], 2
+    while len(ks) < count:
+        if k * r <= (k - 1) * 2 * n:
+            ks.append(k)
+        k += 1
+    return ks
+
+
+def _symmetry_cases():
     for n in (2, 3):
-        group = matching_symmetry(n)
         for r in range(1, 2 * n):
-            universe = matching_universe(n, r)
             for k in (2, 3):
-                plain = max_kwise_family(SearchProblem(universe, k))
-                sym = max_kwise_family(SearchProblem(universe, k, symmetry=group))
-                assert plain.max_size == sym.max_size
-                assert [w.sets for w in plain.witnesses] == \
-                    [w.sets for w in sym.witnesses]
+                yield n, r, k
+    # every in-regime (n <= 4, r) at its two smallest admissible arities
+    for n in range(1, 5):
+        for r in range(n, 2 * n):
+            for k in _admissible_ks(n, r, 2):
+                yield n, r, k
+    yield from ((5, 5, 3), (5, 9, 10))
+
+
+def test_symmetry_differential_across_small_universes():
+    groups = {}
+    for n, r, k in _symmetry_cases():
+        group = groups.setdefault(n, matching_symmetry(n))
+        universe = matching_universe(n, r)
+        plain = max_kwise_family(SearchProblem(universe, k))
+        sym = max_kwise_family(SearchProblem(universe, k, symmetry=group))
+        assert plain.max_size == sym.max_size, (n, r, k)
+        assert [w.sets for w in plain.witnesses] == \
+            [w.sets for w in sym.witnesses], (n, r, k)
+        assert plain.all_are_stars == sym.all_are_stars
+        assert plain.star_centers == sym.star_centers
 
 
 # ---------------------------------------------------------------------------
