@@ -199,15 +199,26 @@ class UniformFamily:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "UniformFamily":
-        return cls.from_vertex_sets(2 * int(obj["n"]), int(obj["r"]),
-                                    obj["sets"])
+        try:
+            n, r = obj["n"], obj["r"]
+            if type(n) is not int or type(r) is not int:
+                raise TypeError
+            return cls.from_vertex_sets(2 * n, r, obj["sets"])
+        except (KeyError, TypeError):
+            raise ParameterError(
+                'expected {"n": int, "r": int, "sets": [[int, ...], ...]}'
+            ) from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
 
     @classmethod
     def from_json(cls, text: str) -> "UniformFamily":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except ValueError:
+            raise ParameterError("family JSON does not parse") from None
+        return cls.from_json_obj(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .arcs import IntervalFamily, common_index, wrap
-from .errors import IntegrityError, ParameterError
+from .errors import CapacityError, IntegrityError, ParameterError
 from .families import MatchingGraph, UniformFamily
 
 
@@ -91,7 +91,7 @@ def enumerate_good_orders(n: int):
     """
     graph = MatchingGraph(n)
     if n > 8:
-        raise ParameterError(f"enumeration is supported for n <= 8, got n={n}")
+        raise CapacityError(f"enumeration is supported for n <= 8, got n={n}")
     size = graph.vertex_count
     for perm in permutations(range(1, n)):
         for bits in range(1 << (n - 1)):
@@ -207,7 +207,7 @@ def connectivity_check(n: int) -> ConnectivityReport:
     Connected means the move set reaches every normalized good order.
     """
     if n > 6:
-        raise ParameterError(f"connectivity check is supported for n <= 6, got n={n}")
+        raise CapacityError(f"connectivity check is supported for n <= 6, got n={n}")
     start = identity_order(n)
     seen = {start.seq}
     frontier = [start]

@@ -3,16 +3,20 @@
 The solver walks an include/exclude tree over the universe in
 ascending bitmask order (include explored first), so the first member
 of any family is its minimum and every subfamily is visited at most
-once.  Three ingredients keep the tree small:
+once.  Two ingredients keep the tree small:
 
-* a pairwise-compatibility prefilter (members of a k-wise intersecting
-  family must pairwise intersect, for every k >= 2),
 * an incremental k-wise feasibility filter: the intersections of all
   (k-1)-subsets of the current family are maintained append-only, and
-  a candidate survives only while it meets every one of them,
+  a candidate survives only while it meets every one of them (each new
+  intersection lies inside the new member, so survivors also meet it),
 * best-found pruning seeded with the largest star in the universe
   (stars are k-wise intersecting for every k, so this lower bound is
   always achievable).
+
+Both read one incidence table built per search: ``through[v]`` is the
+bitset of member indices containing vertex v+1.  The members meeting a
+set are the OR of its vertices' rows, the largest star is the largest
+row, and a witness is a star exactly when its index bitset is a row.
 
 When a vertex-relabelling symmetry group of the universe is supplied,
 its action on the members is tabulated once per search: one ``bytes``
@@ -128,7 +132,7 @@ class SearchResult:
     elapsed: float
 
 
-def _run_root(masks: tuple[int, ...], comp: list[int], k: int,
+def _run_root(masks: tuple[int, ...], through: list[int], k: int,
               collect: bool, strict_prune: bool, best: int, i0: int
               ) -> tuple[list[tuple[int, tuple[int, ...]]], int, int]:
     """Explore every family whose minimal member is masks[i0].
@@ -144,6 +148,15 @@ def _run_root(masks: tuple[int, ...], comp: list[int], k: int,
     # levels[j] = intersections of all j-subsets of the chosen family
     levels: list[list[int]] = [[(1 << 64) - 1]] + [[] for _ in range(km1)]
 
+    def meets(x: int) -> int:
+        """Bitset of the members that meet vertex set x."""
+        out = 0
+        while x:
+            low = x & -x
+            out |= through[low.bit_length() - 1]
+            x ^= low
+        return out
+
     def record(depth: int) -> None:
         nonlocal best
         if depth < best:
@@ -154,27 +167,18 @@ def _run_root(masks: tuple[int, ...], comp: list[int], k: int,
 
     def include(i: int, cand: int, depth: int) -> None:
         """Add member i, filter candidates, recurse, undo."""
-        nonlocal nodes
         mi = masks[i]
         bind = min(km1, depth + 1)
         saved = [len(levels[j]) for j in range(bind + 1)]
         for j in range(bind, 0, -1):
             lower = levels[j - 1]
             levels[j].extend(x & mi for x in lower[:saved[j - 1]])
-        nc = cand & comp[i]
         for x in levels[bind][saved[bind]:]:
-            if not nc:
+            if not cand:
                 break
-            keep = 0
-            t = nc
-            while t:
-                low = t & -t
-                if masks[low.bit_length() - 1] & x:
-                    keep |= low
-                t ^= low
-            nc = keep
+            cand &= meets(x)
         chosen.append(i)
-        extend(nc, depth + 1)
+        extend(cand, depth + 1)
         chosen.pop()
         for j in range(bind, 0, -1):
             del levels[j][saved[j]:]
@@ -242,19 +246,9 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     start_time = time.perf_counter()
     masks = universe.sets
     total = len(masks)
-    comp = [0] * total
-    for a in range(total):
-        row = 0
-        for b in range(total):
-            if a != b and masks[a] & masks[b]:
-                row |= 1 << b
-        comp[a] = row
-
-    # star lower bound: largest number of members through one vertex
-    best = 0
-    for v in range(universe.universe_size):
-        bit = 1 << v
-        best = max(best, sum(1 for s in masks if s & bit))
+    through = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
+               for v in range(universe.universe_size)]
+    best = max(t.bit_count() for t in through)  # the largest star
 
     roots = range(total)
     group = problem.symmetry
@@ -269,7 +263,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     if collect and best == 0:
         records.append((0, ()))
     for i0 in roots:
-        recs, nd, best = _run_root(masks, comp, k, collect, strict_prune,
+        recs, nd, best = _run_root(masks, through, k, collect, strict_prune,
                                    best, i0)
         records.extend(recs)
         nodes += nd
@@ -299,18 +293,10 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
             if len(w) != max_size or not is_k_wise_intersecting(w, k):
                 raise IntegrityError("collected witness fails verification")
         if witnesses and max_size > 0:
-            star_by_masks = {}
-            for v in range(1, universe.universe_size + 1):
-                star_by_masks.setdefault(universe.star(v).sets, []).append(v)
-            centers: set[int] = set()
-            all_are_stars = True
-            for w in witnesses:
-                match = star_by_masks.get(w.sets)
-                if match:
-                    centers.update(match)
-                else:
-                    all_are_stars = False
-            star_centers = tuple(sorted(centers))
+            bitsets = {sum(1 << i for i in fam) for fam in ordered}
+            all_are_stars = bitsets <= set(through)
+            star_centers = tuple(v for v, t in enumerate(through, 1)
+                                 if t in bitsets)
 
     return SearchResult(max_size, witnesses, all_are_stars, star_centers,
                         nodes, time.perf_counter() - start_time)

@@ -152,6 +152,8 @@ MALFORMED = [
     (["circle", "--n", "0", "--action", "count"], 2, "parameter"),
     (["circle", "--n", "3", "--r", "9", "--action", "construct"], 2, "parameter"),
     (["fuzz", "--target", "assignment", "--trials", "0"], 2, "parameter"),
+    (["circle", "--n", "9", "--action", "count"], 3, "capacity"),
+    (["circle", "--n", "7", "--action", "moves"], 3, "capacity"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known

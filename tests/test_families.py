@@ -289,6 +289,21 @@ def test_from_text_rejects_malformed_labels():
         UniformFamily.from_text(4, 2, "0,1")            # labels are 1-based
 
 
+@pytest.mark.parametrize("text", [
+    '{}',
+    '{"n": "x", "r": 2, "sets": []}',
+    '{"n": 2.5, "r": 2, "sets": []}',
+    '{"n": "2", "r": 2, "sets": []}',
+    'nope',
+    '[]',
+    '{"n": 2, "r": 2, "sets": 5}',
+    '{"n": 2, "r": 2, "sets": [[1, "a"]]}',
+])
+def test_from_json_rejects_malformed_input(text):
+    with pytest.raises(ParameterError):
+        UniformFamily.from_json(text)
+
+
 def test_json_round_trip():
     fam = matching_universe(4, 5)
     blob = fam.to_json()

@@ -1,7 +1,7 @@
 import pytest
 
-from matchwise import (GoodCyclicOrder, IntegrityError, ParameterError,
-                       UniformFamily, connectivity_check,
+from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
+                       ParameterError, UniformFamily, connectivity_check,
                        construct_order_containing, counting_bound,
                        enumerate_good_orders, good_order_count, identity_order,
                        intervals, is_interval, mask_of, matching_star_bound,
@@ -54,7 +54,7 @@ def test_enumeration_matches_permutation_filter(n):
 
 
 def test_enumeration_scale_limit():
-    with pytest.raises(ParameterError):
+    with pytest.raises(CapacityError):
         next(enumerate_good_orders(9))
 
 

@@ -20,6 +20,16 @@ def oracle_check(universe: UniformFamily, k: int, result) -> None:
     max_size, witnesses = brute_max_kwise(members, k)
     assert result.max_size == max_size
     assert {as_frozen(w) for w in result.witnesses} == set(witnesses)
+    if max_size == 0:
+        assert result.all_are_stars is None and result.star_centers == ()
+        return
+    # star labels by definition: v is a center iff its star is a witness
+    found = {w.sets for w in result.witnesses}
+    stars = {v: universe.star(v).sets
+             for v in range(1, universe.universe_size + 1)}
+    assert result.star_centers == tuple(v for v, s in stars.items()
+                                        if s in found)
+    assert result.all_are_stars == (found <= set(stars.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +176,29 @@ def test_symmetry_must_preserve_universe():
                 max_kwise_family(SearchProblem(holed, 3, mode, group))
     with pytest.raises(ParameterError):
         max_kwise_family(SearchProblem(universe, 3, symmetry=()))
+
+
+# explored_nodes is deterministic, so any change to it is a change to the
+# search tree; a new pruning rule should update these on purpose
+NODE_COUNTS = [
+    (lambda: verify_extremal_characterization(4, 5, 3), 7635),
+    (lambda: verify_extremal_characterization(4, 6, 4), 4498),
+    (lambda: verify_extremal_characterization(4, 4, 2), 577),
+    (lambda: max_kwise_family(SearchProblem(matching_universe(4, 5), 3)),
+     14826),
+    (lambda: max_kwise_family(
+        SearchProblem(matching_universe(4, 5), 3, "max_size_only")), 9198),
+    (lambda: max_kwise_family(
+        SearchProblem(matching_universe(5, 5), 3, "max_size_only",
+                      matching_symmetry(5))), 1140),
+    (lambda: max_kwise_family(
+        SearchProblem(complete_uniform_family(6, 3), 2)), 6153),
+]
+
+
+@pytest.mark.parametrize("run, nodes", NODE_COUNTS)
+def test_explored_node_counts(run, nodes):
+    assert run().explored_nodes == nodes
 
 
 # ---------------------------------------------------------------------------
