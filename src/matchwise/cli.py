@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from .errors import CapacityError, IntegrityError, ParameterError
+from .errors import CapacityError, IntegrityError, MatchwiseError, ParameterError
 from .families import enumerate_family, matching_star_bound, matching_universe
 from .fuzz import run_fuzz
 from .orders import (connectivity_check, construct_order_containing,
@@ -23,11 +23,9 @@ from .orders import (connectivity_check, construct_order_containing,
 from .schema import SCHEMA_VERSION
 from .search import verify_extremal_characterization
 
-EXIT_OK = 0
-EXIT_FAILED = 1
-EXIT_PARAMETER = 2
-EXIT_CAPACITY = 3
-EXIT_INTEGRITY = 4
+# error class -> (diagnostic type, exit code); see SCHEMA.md
+_ERRORS = {ParameterError: ("parameter", 2), CapacityError: ("capacity", 3),
+           IntegrityError: ("integrity", 4)}
 
 _STAR_ENUM_WIDTH = 16  # enumerate star sizes only while 2n <= 16
 
@@ -63,11 +61,32 @@ def _csv(rows: list[dict], columns: list[str]) -> str:
     return out.getvalue()
 
 
+def _render(args, obj: dict, text: str, columns: list[str] | None = None,
+            skip: tuple[str, ...] = ()) -> str:
+    """The payload in the requested format.
+
+    CSV is derived from the JSON object: its ``rows`` under ``columns``
+    when it has them (an empty ``rows`` still prints the header),
+    otherwise one row of its fields minus ``skip``, with lists of
+    scalars joined by spaces.
+    """
+    if args.format == "json":
+        return json.dumps(obj, indent=2)
+    if args.format == "text":
+        return text
+    if "rows" in obj:
+        return _csv(obj["rows"], columns)
+    row = {key: " ".join(map(str, value)) if isinstance(value, list) else value
+           for key, value in obj.items() if key not in skip}
+    return _csv([row], list(row))
+
+
 # ---------------------------------------------------------------------------
-# subcommand implementations: each returns (payload_text, exit_code)
+# subcommand implementations: each returns (payload_text, ok); ok False
+# means a checked property failed
 # ---------------------------------------------------------------------------
 
-def _cmd_bounds(args) -> tuple[str, int]:
+def _cmd_bounds(args) -> tuple[str, bool]:
     n_lo, n_hi = _parse_range(args.n)
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -85,61 +104,42 @@ def _cmd_bounds(args) -> tuple[str, int]:
             rows.append({"n": n, "r": r, "branch": bound.branch,
                          "bound": bound.value, "star_size": star_size,
                          "match": match})
-    ok = all(row["match"] is not False for row in rows)
     columns = ["n", "r", "branch", "bound", "star_size", "match"]
-    if args.format == "json":
-        payload = json.dumps({"schema_version": SCHEMA_VERSION, "rows": rows},
-                             indent=2)
-    elif args.format == "csv":
-        payload = _csv(rows, columns)
-    else:
-        lines = ["  ".join(f"{row[c]}" for c in columns) for row in rows]
-        payload = "\n".join(["  ".join(columns)] + lines) + "\n"
-    return payload, EXIT_OK if ok else EXIT_FAILED
+    lines = ["  ".join(f"{row[c]}" for c in columns) for row in rows]
+    text = "\n".join(["  ".join(columns)] + lines) + "\n"
+    obj = {"schema_version": SCHEMA_VERSION, "rows": rows}
+    return (_render(args, obj, text, columns),
+            all(row["match"] is not False for row in rows))
 
 
-def _cmd_enumerate(args) -> tuple[str, int]:
+def _cmd_enumerate(args) -> tuple[str, bool]:
     fam = enumerate_family(args.n, args.r, args.kind)
     if args.format == "json":
         payload = json.dumps(fam.to_json_obj(), indent=2)
     else:
         # text and csv coincide: one set per line, comma-separated labels
         payload = fam.to_text()
-    return payload, EXIT_OK
+    return payload, True
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[str, bool]:
     mode = "all_maximum" if args.all_maximum else "max_size_only"
     if args.check_stars and not args.all_maximum:
         raise ParameterError("--check-stars requires --all-maximum")
     report = verify_extremal_characterization(args.n, args.r, args.k, mode=mode)
     obj = report.to_json_obj(include_witnesses=args.all_maximum)
-    ok = report.bound_met
-    if args.check_stars and report.uniqueness_asserted:
-        ok = ok and bool(report.all_are_stars)
-    if args.format == "csv":
-        columns = ["schema_version", "n", "r", "k", "mode", "max_size",
-                   "bound_expected", "bound_met", "boundary", "uniqueness",
-                   "witness_count", "all_are_stars", "star_centers",
-                   "explored_nodes", "elapsed_ms"]
-        row = dict(obj)
-        row["star_centers"] = " ".join(str(c) for c in obj["star_centers"])
-        payload = _csv([row], columns)
-    elif args.format == "text":
-        payload = (
-            f"n={report.n} r={report.r} k={report.k}: max {report.max_size} "
+    text = (f"n={report.n} r={report.r} k={report.k}: max {report.max_size} "
             f"(expected {report.bound_expected}, "
             f"{'met' if report.bound_met else 'VIOLATED'}); "
             f"{report.witness_count} maximum families"
             + (f", all stars: {report.all_are_stars}"
                if report.uniqueness_asserted else ", uniqueness boundary: not asserted")
             + "\n")
-    else:
-        payload = json.dumps(obj, indent=2)
-    return payload, EXIT_OK if ok else EXIT_FAILED
+    return (_render(args, obj, text, skip=("witnesses",)),
+            report.ok if args.check_stars else report.bound_met)
 
 
-def _cmd_circle(args) -> tuple[str, int]:
+def _cmd_circle(args) -> tuple[str, bool]:
     n = args.n
     if args.action == "count":
         enumerated = sum(1 for _ in enumerate_good_orders(n))
@@ -189,37 +189,20 @@ def _cmd_circle(args) -> tuple[str, int]:
     else:
         raise ParameterError(f"unknown circle action {args.action!r}")
 
-    obj = {"schema_version": SCHEMA_VERSION, **obj}
-    if args.format == "json":
-        payload = json.dumps(obj, indent=2)
-    elif args.format == "csv":
-        columns = list(obj.keys())
-        payload = _csv([obj], columns)
-    else:
-        payload = text
-    return payload, EXIT_OK if obj["ok"] else EXIT_FAILED
+    return _render(args, {"schema_version": SCHEMA_VERSION, **obj}, text), obj["ok"]
 
 
 _FUZZ_ALIASES = {"1": "assignment", "2": "common-index"}
 
 
-def _cmd_fuzz(args) -> tuple[str, int]:
+def _cmd_fuzz(args) -> tuple[str, bool]:
     target = _FUZZ_ALIASES.get(args.target, args.target)
     summary = run_fuzz(target, args.trials, args.seed)
-    obj = summary.to_json_obj()
-    if args.format == "json":
-        payload = json.dumps(obj, indent=2)
-    elif args.format == "csv":
-        columns = ["schema_version", "target", "trials", "seed", "conforming",
-                   "nonconforming", "bounded", "covering",
-                   "integrity_rejections", "violation_count"]
-        payload = _csv([obj], columns)
-    else:
-        payload = (f"fuzz {summary.target}: {summary.trials} trials, "
-                   f"{summary.conforming} conforming, "
-                   f"{len(summary.violations)} violations\n")
+    text = (f"fuzz {summary.target}: {summary.trials} trials, "
+            f"{summary.conforming} conforming, "
+            f"{len(summary.violations)} violations\n")
     # violations are report content, not process errors
-    return payload, EXIT_OK
+    return _render(args, summary.to_json_obj(), text, skip=("violations",)), True
 
 
 # ---------------------------------------------------------------------------
@@ -299,35 +282,31 @@ def main(argv: list[str] | None = None) -> int:
         out = open(args.output, "w")
     except OSError as exc:
         # the output file cannot take the diagnostic, so stdout does
-        _emit_error(args, "parameter", f"cannot open --output: {exc}", sys.stdout)
-        return EXIT_PARAMETER
+        return _emit_error(
+            args, ParameterError(f"cannot open --output: {exc}"), sys.stdout)
     with out:
         return _run(args, out)
 
 
 def _run(args, out) -> int:
     try:
-        payload, code = args.func(args)
-    except ParameterError as exc:
-        _emit_error(args, "parameter", exc, out)
-        return EXIT_PARAMETER
-    except CapacityError as exc:
-        _emit_error(args, "capacity", exc, out)
-        return EXIT_CAPACITY
-    except IntegrityError as exc:
-        _emit_error(args, "integrity", exc, out)
-        return EXIT_INTEGRITY
+        payload, ok = args.func(args)
+    except MatchwiseError as exc:
+        return _emit_error(args, exc, out)
     _emit(payload, out)
-    return code
+    return 0 if ok else 1
 
 
-def _emit_error(args, kind: str, exc, out) -> None:
+def _emit_error(args, exc: MatchwiseError, out) -> int:
+    """Report a package error; return its exit code."""
+    kind, code = _ERRORS[type(exc)]
     if args.format == "json":
         diagnostic = json.dumps({"schema_version": SCHEMA_VERSION,
                                  "error": {"type": kind, "message": str(exc)}},
                                 indent=2)
         _emit(diagnostic + "\n", out)
     print(f"matchwise: {kind} error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

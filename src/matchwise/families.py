@@ -38,6 +38,8 @@ def mask_of(vertices: Iterable[int]) -> int:
     """Pack vertex labels (1-based) into a bitmask."""
     m = 0
     for v in vertices:
+        if type(v) is not int:  # bool is an int subclass, float shifts fail
+            raise ParameterError(f"vertex labels are integers, got {v!r}")
         if v < 1:
             raise ParameterError(f"vertex labels are 1-based, got {v}")
         m |= 1 << (v - 1)

@@ -27,8 +27,10 @@ into the universe.  Only orbit representatives (members that no row
 maps to a smaller index) are tried as the minimal member, and in
 witness-collecting modes the found witnesses are expanded back through
 the table one orbit at a time, so the reported witness list is always
-the full one.  Results are deterministic for a given input; only the
-timings vary.
+the full one.  That expansion needs the rows to form a group, which
+those modes check; the representatives alone are sound for any set of
+universe-preserving permutations.  Results are deterministic for a
+given input; only the timings vary.
 """
 
 from __future__ import annotations
@@ -133,13 +135,15 @@ class SearchResult:
 
 
 def _run_root(masks: tuple[int, ...], through: list[int], k: int,
-              collect: bool, strict_prune: bool, best: int, i0: int
+              collect: bool, best: int, i0: int
               ) -> tuple[list[tuple[int, tuple[int, ...]]], int, int]:
     """Explore every family whose minimal member is masks[i0].
 
-    ``best`` is the largest family size known so far.  Returns the
-    recorded families as (size, member indices) pairs, the node count
-    and the updated best size.
+    ``best`` is the largest family size known so far.  Without
+    ``collect`` only a family larger than ``best`` matters, so branches
+    that can at most tie it are pruned too.  Returns the recorded
+    families as (size, member indices) pairs, the node count and the
+    updated best size.
     """
     km1 = k - 1
     nodes = 0
@@ -189,7 +193,7 @@ def _run_root(masks: tuple[int, ...], through: list[int], k: int,
         record(depth)
         while cand:
             room = depth + cand.bit_count()
-            if room < best or (strict_prune and room == best):
+            if room < best or (not collect and room == best):
                 return
             low = cand & -cand
             cand ^= low
@@ -221,6 +225,46 @@ def _action_table(group: tuple[tuple[int, ...], ...],
             "symmetry group does not preserve the universe") from None
 
 
+def _check_closed(action: list[bytes]) -> None:
+    """Raise ParameterError unless the rows hold the identity and are closed
+    under composition.
+
+    Witness expansion maps each found family through every row once, which
+    reaches its whole orbit only when the rows form a group.  The closure
+    of greedily chosen generators is built one product at a time
+    (``bytes.translate`` composes two rows) and abandoned at the first
+    product that is not a row; every row either lies in the closure or
+    becomes a generator, so a finished closure equals the rows.
+    """
+    rows = set(action)
+    total = len(action[0])
+    closure = {bytes(range(total))}
+    if not closure <= rows:
+        raise ParameterError("symmetry group lacks the identity")
+    pad = bytes(range(total, 256))  # translate tables have 256 entries
+    gens: list[bytes] = []
+    queue: list[bytes] = []
+
+    def add(x: bytes) -> None:
+        if x not in closure:
+            if x not in rows:
+                raise ParameterError(
+                    "symmetry group is not closed under composition")
+            closure.add(x)
+            queue.append(x)
+
+    for row in action:
+        if row in closure:
+            continue
+        gens.append(row + pad)
+        for x in list(closure):         # closed under the earlier generators
+            add(x.translate(gens[-1]))
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                add(x.translate(g))
+
+
 def max_kwise_family(problem: SearchProblem) -> SearchResult:
     """Exact maximum k-wise intersecting subfamily of the universe.
 
@@ -228,7 +272,9 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     "all_maximum" additionally reports every maximum family
     (canonically ordered); "one_witness" reports the canonically least
     maximum family.  Capacity: at most 40 universe members in
-    all-maximum modes, 64 otherwise.
+    all-maximum modes, 64 otherwise.  A ``symmetry`` must map the
+    universe onto itself and, in the modes that report witnesses, be a
+    group (hold the identity and be closed under composition).
     """
     universe, k, mode = problem.universe, problem.k, problem.mode
     if k < 2:
@@ -255,16 +301,16 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     action: list[bytes] = []
     if group is not None:
         action = _action_table(group, masks)
+        if collect:
+            _check_closed(action)
         roots = [i for i, images in enumerate(zip(*action)) if min(images) >= i]
 
-    strict_prune = not collect
     records: list[tuple[int, tuple[int, ...]]] = []
     nodes = 1  # the empty-family root
     if collect and best == 0:
         records.append((0, ()))
     for i0 in roots:
-        recs, nd, best = _run_root(masks, through, k, collect, strict_prune,
-                                   best, i0)
+        recs, nd, best = _run_root(masks, through, k, collect, best, i0)
         records.extend(recs)
         nodes += nd
 

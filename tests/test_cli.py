@@ -1,9 +1,13 @@
+import csv
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from matchwise import cli
 from matchwise.cli import main
 
 
@@ -76,6 +80,20 @@ def test_verify_json_deterministic_modulo_counters(capsys):
     for volatile in ("elapsed_ms", "explored_nodes"):
         a.pop(volatile), b.pop(volatile)
     assert a == b
+
+
+@pytest.mark.parametrize("change, check_stars, code", [
+    ({}, True, 0),
+    ({"all_are_stars": False}, False, 0),
+    ({"all_are_stars": False}, True, 1),
+    ({"bound_met": False}, False, 1),
+])
+def test_verify_exit_status(monkeypatch, capsys, change, check_stars, code):
+    real = cli.verify_extremal_characterization
+    monkeypatch.setattr(cli, "verify_extremal_characterization",
+                        lambda *a, **kw: dataclasses.replace(real(*a, **kw), **change))
+    argv = ["verify", "--n", "3", "--r", "3", "--k", "3", "--all-maximum"]
+    assert run_cli(capsys, *argv, *["--check-stars"] * check_stars)[0] == code
 
 
 def test_circle_actions(capsys):
@@ -226,6 +244,57 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     obj = json.loads(target.read_text())
     assert obj["n"] == 2
+
+
+VERIFY_COLUMNS = ("schema_version,n,r,k,mode,max_size,bound_expected,bound_met,"
+                  "boundary,uniqueness,witness_count,all_are_stars,star_centers,"
+                  "explored_nodes,elapsed_ms")
+
+# (arguments, CSV header as SCHEMA.md lists it)
+CSV_CONTRACT = [
+    (["verify", "--n", "3", "--r", "3", "--k", "3", "--all-maximum"], VERIFY_COLUMNS),
+    (["verify", "--n", "3", "--r", "4", "--k", "3", "--all-maximum"], VERIFY_COLUMNS),
+    (["verify", "--n", "3", "--r", "3", "--k", "3"], VERIFY_COLUMNS),
+    (["circle", "--n", "3", "--action", "count"],
+     "schema_version,action,n,enumerated,expected,ok"),
+    (["circle", "--n", "3", "--action", "moves"],
+     "schema_version,action,n,connected,orbit_size,expected,ok"),
+    (["circle", "--n", "4", "--r", "5", "--k", "3", "--action", "saturate"],
+     "schema_version,action,n,r,k,orders,saturated,ok"),
+    (["circle", "--n", "3", "--r", "4", "--action", "construct"],
+     "schema_version,action,n,r,star_size,verified,ok"),
+    (["fuzz", "--target", "assignment", "--trials", "50", "--seed", "3"],
+     "schema_version,target,trials,seed,conforming,nonconforming,bounded,"
+     "covering,integrity_rejections,violation_count"),
+    (["bounds", "--n", "2", "--r", "5"], "n,r,branch,bound,star_size,match"),
+]
+
+
+def csv_cell(value) -> str:
+    """SCHEMA.md's CSV encoding of one JSON value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return " ".join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("argv, header", CSV_CONTRACT)
+def test_csv_matches_json(capsys, argv, header):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    json_code, blob = run_cli(capsys, *argv, "--format", "json")
+    assert code == json_code == 0
+    assert out.splitlines()[0] == header
+    obj = json.loads(blob)
+    rows = obj["rows"] if "rows" in obj else [obj]
+    records = list(csv.DictReader(io.StringIO(out)))
+    assert len(records) == len(rows)
+    for record, row in zip(records, rows):
+        for column, cell in record.items():
+            if column != "elapsed_ms":
+                assert cell == csv_cell(row[column]), column
 
 
 def test_module_entry_point():

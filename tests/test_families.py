@@ -298,10 +298,17 @@ def test_from_text_rejects_malformed_labels():
     '[]',
     '{"n": 2, "r": 2, "sets": 5}',
     '{"n": 2, "r": 2, "sets": [[1, "a"]]}',
+    '{"n": 2, "r": 1, "sets": [[true]]}',
 ])
 def test_from_json_rejects_malformed_input(text):
     with pytest.raises(ParameterError):
         UniformFamily.from_json(text)
+
+
+def test_from_vertex_sets_rejects_non_integer_labels():
+    for label in (2.0, True, "1"):
+        with pytest.raises(ParameterError):
+            UniformFamily.from_vertex_sets(4, 1, [[label]])
 
 
 def test_json_round_trip():

@@ -178,6 +178,30 @@ def test_symmetry_must_preserve_universe():
         max_kwise_family(SearchProblem(universe, 3, symmetry=()))
 
 
+def test_symmetry_must_be_a_group():
+    # witness expansion maps each found family through every given element
+    # once, which misses part of the orbit when the elements are no group:
+    # these returned 2 of 4 and 3 of 6 witnesses before the closure check
+    rotation = ((2, 3, 4, 1),)
+    with pytest.raises(ParameterError):
+        max_kwise_family(SearchProblem(complete_uniform_family(4, 1), 2,
+                                       symmetry=rotation))
+    G = matching_symmetry(3)
+    universe = matching_universe(3, 3)
+    full = max_kwise_family(SearchProblem(universe, 3))
+    for subset in ((G[1], G[8], G[16]), (G[0], G[1], G[8])):
+        for mode in ("all_maximum", "one_witness"):
+            with pytest.raises(ParameterError):
+                max_kwise_family(SearchProblem(universe, 3, mode, subset))
+        # root pruning needs no group, so max-size mode accepts the subset
+        got = max_kwise_family(SearchProblem(universe, 3, "max_size_only", subset))
+        assert got.max_size == full.max_size
+    # a subgroup (the identity and one edge flip) is accepted
+    sub = max_kwise_family(SearchProblem(universe, 3, symmetry=(G[0], G[1])))
+    assert [w.sets for w in sub.witnesses] == [w.sets for w in full.witnesses]
+    assert sub.star_centers == full.star_centers == (1, 2, 3, 4, 5, 6)
+
+
 # explored_nodes is deterministic, so any change to it is a change to the
 # search tree; a new pruning rule should update these on purpose
 NODE_COUNTS = [
