@@ -133,7 +133,8 @@ def _cmd_verify(args) -> tuple[str, bool]:
             f"{'met' if report.bound_met else 'VIOLATED'}); "
             f"{report.witness_count} maximum families"
             + (f", all stars: {report.all_are_stars}"
-               if report.uniqueness_asserted else ", uniqueness boundary: not asserted")
+               if report.uniqueness_asserted
+               else f", uniqueness {report.uniqueness}")
             + "\n")
     return (_render(args, obj, text, skip=("witnesses",)),
             report.ok if args.check_stars else report.bound_met)

@@ -61,7 +61,12 @@ class GoodCyclicOrder:
 
     @classmethod
     def deserialize(cls, n: int, text: str) -> "GoodCyclicOrder":
-        return cls(n, tuple(int(tok) for tok in text.split(",")))
+        try:
+            seq = tuple(int(tok) for tok in text.split(","))
+        except ValueError:
+            raise ParameterError(
+                f"expected comma-separated vertex labels, got {text!r}") from None
+        return cls(n, seq)
 
 
 def identity_order(n: int) -> GoodCyclicOrder:
@@ -71,6 +76,9 @@ def identity_order(n: int) -> GoodCyclicOrder:
 def normalize_rotation(n: int, seq: tuple[int, ...]) -> GoodCyclicOrder:
     """Rotate an arbitrary good arrangement so vertex 2n lands at position 2n."""
     size = 2 * n
+    if len(seq) != size or size not in seq:
+        raise ParameterError(
+            f"an arrangement has {size} positions, one of them vertex {size}")
     shift = size - 1 - seq.index(size)
     rotated = tuple(seq[(p - shift) % size] for p in range(size))
     return GoodCyclicOrder(n, rotated)

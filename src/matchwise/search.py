@@ -18,19 +18,16 @@ bitset of member indices containing vertex v+1.  The members meeting a
 set are the OR of its vertices' rows, the largest star is the largest
 row, and a witness is a star exactly when its index bitset is a row.
 
-When a vertex-relabelling symmetry group of the universe is supplied,
-its action on the members is tabulated once per search: one ``bytes``
-row per group element, mapping each member's index to the index of
-its image (a universe has at most 64 members, so an index fits in a
-byte).  Building the table checks that every element maps every member
-into the universe.  Only orbit representatives (members that no row
-maps to a smaller index) are tried as the minimal member, and in
+When vertex relabellings of the universe are supplied, the search
+uses the group they generate.  Its action on the members is built once
+per search: one ``bytes`` row per group element, mapping each member's
+index to the index of its image (a universe has at most 64 members, so
+an index fits in a byte).  Only orbit representatives (members that no
+row maps to a smaller index) are tried as the minimal member, and in
 witness-collecting modes the found witnesses are expanded back through
-the table one orbit at a time, so the reported witness list is always
-the full one.  That expansion needs the rows to form a group, which
-those modes check; the representatives alone are sound for any set of
-universe-preserving permutations.  Results are deterministic for a
-given input; only the timings vary.
+the rows one orbit at a time, so the reported witness list is always
+the full one.  Results are deterministic for a given input; only the
+timings vary.
 """
 
 from __future__ import annotations
@@ -118,6 +115,9 @@ def canonical_form(fam: UniformFamily, n: int) -> UniformFamily:
 
 @dataclass(frozen=True)
 class SearchProblem:
+    """A search over ``universe``; ``symmetry`` holds vertex permutations
+    (perm[v-1] = image of v) and the search uses the group they generate."""
+
     universe: UniformFamily
     k: int
     mode: str = "all_maximum"
@@ -207,62 +207,53 @@ def _bits_above(i: int, total: int) -> int:
     return ((1 << total) - 1) & ~((1 << (i + 1)) - 1)
 
 
-def _action_table(group: tuple[tuple[int, ...], ...],
-                  masks: tuple[int, ...]) -> list[bytes]:
-    """One row per group element: row[i] is the index of its image of masks[i].
+def _group_action(perms: tuple[tuple[int, ...], ...], masks: tuple[int, ...],
+                  size: int) -> list[bytes]:
+    """One row per element of the group the permutations generate: row[i]
+    is the index of the element's image of masks[i].
 
-    Every (element, member) pair is checked, since nothing guarantees
-    that the given permutations form a group.
+    The permutations are read in order.  One whose vertex images are
+    already in the group built so far is skipped; any other gets its row
+    from ``apply_permutation``, which must land in the universe, becomes
+    a generator, and the group is closed again, composing vertex images
+    and rows alike with ``bytes.translate``.  So every given permutation
+    is checked, directly or as a product of checked ones.
     """
-    if not group:
-        raise ParameterError("a symmetry group needs at least one element")
+    if not perms:
+        raise ParameterError("a symmetry needs at least one permutation")
+    labels = set(range(1, size + 1))
     index = {m: i for i, m in enumerate(masks)}
-    try:
-        return [bytes([index[apply_permutation(g, m)] for m in masks])
-                for g in group]
-    except KeyError:
-        raise ParameterError(
-            "symmetry group does not preserve the universe") from None
-
-
-def _check_closed(action: list[bytes]) -> None:
-    """Raise ParameterError unless the rows hold the identity and are closed
-    under composition.
-
-    Witness expansion maps each found family through every row once, which
-    reaches its whole orbit only when the rows form a group.  The closure
-    of greedily chosen generators is built one product at a time
-    (``bytes.translate`` composes two rows) and abandoned at the first
-    product that is not a row; every row either lies in the closure or
-    becomes a generator, so a finished closure equals the rows.
-    """
-    rows = set(action)
-    total = len(action[0])
-    closure = {bytes(range(total))}
-    if not closure <= rows:
-        raise ParameterError("symmetry group lacks the identity")
-    pad = bytes(range(total, 256))  # translate tables have 256 entries
-    gens: list[bytes] = []
-    queue: list[bytes] = []
-
-    def add(x: bytes) -> None:
-        if x not in closure:
-            if x not in rows:
-                raise ParameterError(
-                    "symmetry group is not closed under composition")
-            closure.add(x)
-            queue.append(x)
-
-    for row in action:
-        if row in closure:
+    total = len(masks)
+    # translate tables have 256 entries; vertex images are 1-based
+    vpad, rpad = bytes(range(size + 1, 256)), bytes(range(total, 256))
+    group = {bytes(range(1, size + 1)): bytes(range(total))}
+    gens: list[tuple[bytes, bytes]] = []
+    for perm in perms:
+        if (not isinstance(perm, (tuple, list)) or len(perm) != size
+                or set(map(type, perm)) != {int} or set(perm) != labels):
+            raise ParameterError(
+                f"symmetry element {perm!r} is not a permutation of 1..{size}")
+        images = bytes(perm)
+        if images in group:
             continue
-        gens.append(row + pad)
-        for x in list(closure):         # closed under the earlier generators
-            add(x.translate(gens[-1]))
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                add(x.translate(g))
+        try:
+            row = bytes([index[apply_permutation(perm, m)] for m in masks])
+        except KeyError:
+            raise ParameterError(
+                "symmetry does not preserve the universe") from None
+        gens.append((b"\0" + images + vpad, row + rpad))
+        # the group so far is closed under the earlier generators
+        pending, step = list(group.items()), gens[-1:]
+        while pending:
+            fresh = []
+            for x, y in pending:
+                for gv, gr in step:
+                    z = x.translate(gv)
+                    if z not in group:
+                        group[z] = w = y.translate(gr)
+                        fresh.append((z, w))
+            pending, step = fresh, gens
+    return list(group.values())
 
 
 def max_kwise_family(problem: SearchProblem) -> SearchResult:
@@ -272,9 +263,9 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     "all_maximum" additionally reports every maximum family
     (canonically ordered); "one_witness" reports the canonically least
     maximum family.  Capacity: at most 40 universe members in
-    all-maximum modes, 64 otherwise.  A ``symmetry`` must map the
-    universe onto itself and, in the modes that report witnesses, be a
-    group (hold the identity and be closed under composition).
+    all-maximum modes, 64 otherwise.  Each ``symmetry`` element must
+    permute the labels 1..universe_size and map the universe onto
+    itself; the search uses the group the permutations generate.
     """
     universe, k, mode = problem.universe, problem.k, problem.mode
     if k < 2:
@@ -297,12 +288,9 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     best = max(t.bit_count() for t in through)  # the largest star
 
     roots = range(total)
-    group = problem.symmetry
     action: list[bytes] = []
-    if group is not None:
-        action = _action_table(group, masks)
-        if collect:
-            _check_closed(action)
+    if problem.symmetry is not None:
+        action = _group_action(problem.symmetry, masks, universe.universe_size)
         roots = [i for i, images in enumerate(zip(*action)) if min(images) >= i]
 
     records: list[tuple[int, tuple[int, ...]]] = []
@@ -380,6 +368,15 @@ class ExtremalReport:
             return bool(self.all_are_stars)
         return True
 
+    @property
+    def uniqueness(self) -> str:
+        """Whether star uniqueness was asserted, and if not, why not."""
+        if self.uniqueness_asserted:
+            return "asserted"
+        if self.mode == "all_maximum":
+            return "boundary: not asserted"
+        return f"{self.mode}: not asserted"
+
     def to_json_obj(self, include_witnesses: bool = True) -> dict:
         obj = {
             "schema_version": SCHEMA_VERSION,
@@ -391,8 +388,7 @@ class ExtremalReport:
             "bound_expected": self.bound_expected,
             "bound_met": self.bound_met,
             "boundary": self.boundary,
-            "uniqueness": ("asserted" if self.uniqueness_asserted
-                           else "boundary: not asserted"),
+            "uniqueness": self.uniqueness,
             "witness_count": self.witness_count,
             "all_are_stars": self.all_are_stars,
             "star_centers": list(self.star_centers),

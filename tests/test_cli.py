@@ -71,6 +71,19 @@ def test_verify_boundary_flagged(capsys):
     assert obj["uniqueness"] == "boundary: not asserted"
 
 
+@pytest.mark.parametrize("r, boundary", [(3, False), (4, True)])
+def test_verify_max_size_only_uniqueness(capsys, r, boundary):
+    argv = ["verify", "--n", "3", "--r", str(r), "--k", "3"]
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["boundary"] is boundary
+    assert obj["uniqueness"] == "max_size_only: not asserted"
+    code, out = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out.endswith(", uniqueness max_size_only: not asserted\n")
+
+
 def test_verify_json_deterministic_modulo_counters(capsys):
     argv = ["verify", "--n", "3", "--r", "3", "--k", "3", "--all-maximum",
             "--format", "json"]

@@ -40,6 +40,18 @@ def test_normalize_rotation():
     assert order.seq == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("text", ["a,b", "", "1,2,x,4", "1.5,2,3,4"])
+def test_deserialize_rejects_non_integer_tokens(text):
+    with pytest.raises(ParameterError):
+        GoodCyclicOrder.deserialize(2, text)
+
+
+@pytest.mark.parametrize("seq", [(1, 2, 3), (4, 1), (1, 2, 3, 5)])
+def test_normalize_rotation_needs_every_position(seq):
+    with pytest.raises(ParameterError):
+        normalize_rotation(2, seq)
+
+
 def test_enumeration_counts():
     for n, expected in [(1, 1), (2, 2), (3, 8), (4, 48)]:
         orders = list(enumerate_good_orders(n))

@@ -178,28 +178,50 @@ def test_symmetry_must_preserve_universe():
         max_kwise_family(SearchProblem(universe, 3, symmetry=()))
 
 
-def test_symmetry_must_be_a_group():
-    # witness expansion maps each found family through every given element
-    # once, which misses part of the orbit when the elements are no group:
-    # these returned 2 of 4 and 3 of 6 witnesses before the closure check
-    rotation = ((2, 3, 4, 1),)
-    with pytest.raises(ParameterError):
-        max_kwise_family(SearchProblem(complete_uniform_family(4, 1), 2,
-                                       symmetry=rotation))
+def test_symmetry_generates_its_group():
+    # the permutations need not form a group: the search uses the group
+    # they generate, so the witnesses are the plain search's
     G = matching_symmetry(3)
+    cases = [(complete_uniform_family(4, 1), 2, ((2, 3, 4, 1),), 4),
+             (matching_universe(3, 3), 3, (G[1], G[8], G[16]), 6),
+             (matching_universe(3, 3), 3, (G[0], G[1], G[8]), 6)]
+    for universe, k, gens, count in cases:
+        plain = max_kwise_family(SearchProblem(universe, k))
+        every = max_kwise_family(SearchProblem(universe, k, symmetry=gens))
+        one = max_kwise_family(SearchProblem(universe, k, "one_witness", gens))
+        assert len(plain.witnesses) == count
+        assert [w.sets for w in every.witnesses] == \
+            [w.sets for w in plain.witnesses]
+        assert every.star_centers == plain.star_centers
+        assert [w.sets for w in one.witnesses] == [plain.witnesses[0].sets]
+    # an edge swap, an edge 5-cycle and one flip generate all of M_5's group
+    G5 = matching_symmetry(5)
+    universe = matching_universe(5, 5)
+    full = max_kwise_family(SearchProblem(universe, 3, symmetry=G5))
+    got = max_kwise_family(
+        SearchProblem(universe, 3, symmetry=(G5[768], G5[1056], G5[1])))
+    assert [w.sets for w in got.witnesses] == [w.sets for w in full.witnesses]
+    assert got.explored_nodes == full.explored_nodes == 1547
+
+
+MALFORMED_SYMMETRY = [
+    (1, 2, 3),                  # too few labels
+    (1, 2, 3, 4, 5, 6, 7),      # too many labels
+    (0, 2, 3, 4, 5, 6),         # labels are 1-based
+    (1, 2, 3, 4, 5, 6.0),       # not an int
+    (True, 2, 3, 4, 5, 6),      # not an int either
+    (1, 1, 3, 4, 5, 6),         # not a permutation
+]
+
+
+@pytest.mark.parametrize("perm", MALFORMED_SYMMETRY)
+def test_symmetry_elements_must_be_permutations(perm):
     universe = matching_universe(3, 3)
-    full = max_kwise_family(SearchProblem(universe, 3))
-    for subset in ((G[1], G[8], G[16]), (G[0], G[1], G[8])):
-        for mode in ("all_maximum", "one_witness"):
+    group = matching_symmetry(3)
+    for mode in ("all_maximum", "one_witness", "max_size_only"):
+        for symmetry in ((perm,), group + (perm,)):
             with pytest.raises(ParameterError):
-                max_kwise_family(SearchProblem(universe, 3, mode, subset))
-        # root pruning needs no group, so max-size mode accepts the subset
-        got = max_kwise_family(SearchProblem(universe, 3, "max_size_only", subset))
-        assert got.max_size == full.max_size
-    # a subgroup (the identity and one edge flip) is accepted
-    sub = max_kwise_family(SearchProblem(universe, 3, symmetry=(G[0], G[1])))
-    assert [w.sets for w in sub.witnesses] == [w.sets for w in full.witnesses]
-    assert sub.star_centers == full.star_centers == (1, 2, 3, 4, 5, 6)
+                max_kwise_family(SearchProblem(universe, 3, mode, symmetry))
 
 
 # explored_nodes is deterministic, so any change to it is a change to the
@@ -217,6 +239,12 @@ NODE_COUNTS = [
                       matching_symmetry(5))), 1140),
     (lambda: max_kwise_family(
         SearchProblem(complete_uniform_family(6, 3), 2)), 6153),
+    # an edge swap, an edge 5-cycle and one flip generate the same group;
+    # the explicit id keeps the other 1140 row's id
+    pytest.param(lambda: max_kwise_family(
+        SearchProblem(matching_universe(5, 5), 3, "max_size_only",
+                      tuple(matching_symmetry(5)[i] for i in (768, 1056, 1)))),
+        1140, id="generators-1140"),
 ]
 
 
