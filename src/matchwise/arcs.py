@@ -75,10 +75,10 @@ class IntervalFamily:
         return tuple(wrap(start + j, self.size) for j in range(self.length))
 
     def mask(self, start: int) -> int:
-        m = 0
-        for p in self.positions(start):
-            m |= 1 << (p - 1)
-        return m
+        """Bitmask of :meth:`positions`: an r-bit block rotated to ``start``."""
+        n = self.size
+        m = ((1 << self.length) - 1) << (start - 1) % n
+        return (m | m >> n) & ((1 << n) - 1)
 
     def end(self, start: int) -> int:
         return wrap(start + self.length - 1, self.size)

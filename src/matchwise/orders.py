@@ -4,9 +4,10 @@ A cyclic arrangement of the 2n vertices of M_n is *good* when every
 pair of partners sits exactly n positions apart.  Rotation classes are
 represented uniquely by pinning vertex 2n to position 2n, which forces
 vertex n to position n; there are 2^(n-1) * (n-1)! such normalized
-orders.  Every length-r window of a good order is a member of the
-union family: an independent set when r <= n, a covering set when
-r >= n.
+orders, each fixed by its positions 1..n-1; :func:`_complete` alone
+lays out the rest.  Every length-r window of a good order (all 2n are
+listed in one rolling pass) is a member of the union family: an
+independent set when r <= n, a covering set when r >= n.
 
 Saturation ties the two layers together: an order is saturated by a
 family when the maximum possible number (r) of family members appear
@@ -33,17 +34,20 @@ class GoodCyclicOrder:
     seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        graph = MatchingGraph(self.n)
-        size = graph.vertex_count
-        if len(self.seq) != size or sorted(self.seq) != list(range(1, size + 1)):
-            raise ParameterError(f"seq must be a permutation of 1..{size}")
-        for p in range(1, size + 1):
-            q = wrap(p + self.n, size)
-            if self.seq[q - 1] != graph.partner(self.seq[p - 1]):
+        n, seq = self.n, self.seq
+        size = MatchingGraph(n).vertex_count
+        # bool and float labels compare equal to ints, so check the type too
+        if (type(seq) is not tuple or len(seq) != size
+                or set(map(type, seq)) != {int} or set(seq) != set(range(1, size + 1))):
+            raise ParameterError(f"seq must be a tuple permuting the int labels 1..{size}")
+        # in a permutation, labels n apart are partners; the partner map is
+        # an involution, so the first half of the positions suffices
+        for p in range(n):
+            if abs(seq[p] - seq[p + n]) != n:
                 raise ParameterError(
-                    f"partners must sit exactly {self.n} apart; "
-                    f"violated at position {p}")
-        if self.seq[size - 1] != size:
+                    f"partners must sit exactly {n} apart; "
+                    f"violated at position {p + 1}")
+        if seq[-1] != size:
             raise ParameterError(f"normalization pins vertex {size} to position {size}")
 
     @property
@@ -67,6 +71,13 @@ class GoodCyclicOrder:
             raise ParameterError(
                 f"expected comma-separated vertex labels, got {text!r}") from None
         return cls(n, seq)
+
+
+def _complete(n: int, first: list[int] | tuple[int, ...]) -> GoodCyclicOrder:
+    """The normalized good order with ``first`` at positions 1..n-1: vertex
+    n at n, the partner of position p at p + n, hence vertex 2n at 2n."""
+    half = (*first, n)
+    return GoodCyclicOrder(n, half + tuple(v + n if v <= n else v - n for v in half))
 
 
 def identity_order(n: int) -> GoodCyclicOrder:
@@ -97,20 +108,13 @@ def enumerate_good_orders(n: int):
     (a permutation choosing the slot, one bit choosing the endpoint);
     the second half is forced by the partner constraint.
     """
-    graph = MatchingGraph(n)
+    MatchingGraph(n)
     if n > 8:
         raise CapacityError(f"enumeration is supported for n <= 8, got n={n}")
-    size = graph.vertex_count
     for perm in permutations(range(1, n)):
         for bits in range(1 << (n - 1)):
-            seq = [0] * size
-            for slot, edge in enumerate(perm):
-                v = edge + n if (bits >> slot) & 1 else edge
-                seq[slot] = v
-                seq[slot + n] = graph.partner(v)
-            seq[n - 1] = n
-            seq[size - 1] = size
-            yield GoodCyclicOrder(n, tuple(seq))
+            yield _complete(n, [edge + n if bits >> slot & 1 else edge
+                                for slot, edge in enumerate(perm)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +122,22 @@ def enumerate_good_orders(n: int):
 # ---------------------------------------------------------------------------
 
 def intervals(order: GoodCyclicOrder, r: int) -> list[tuple[int, int]]:
-    """All 2n length-r windows as (start position, vertex bitmask)."""
+    """All 2n length-r windows as (start position, vertex bitmask), each
+    the previous one minus the leaving vertex plus the entering one."""
     size = order.size
     if not 1 <= r < size:
         raise ParameterError(f"window length must satisfy 1 <= r < {size}, got {r}")
+    bits = [1 << (v - 1) for v in order.seq]
+    mask = sum(bits[:r])            # distinct bits, so the sum is their union
     out = []
-    for start in range(1, size + 1):
-        mask = 0
-        for j in range(r):
-            mask |= 1 << (order.vertex_at(start + j) - 1)
-        out.append((start, mask))
+    for i in range(size):
+        out.append((i + 1, mask))
+        mask ^= bits[i] ^ bits[(i + r) % size]
     return out
 
 
 def is_interval(order: GoodCyclicOrder, mask: int) -> int | None:
-    """Start position when ``mask`` occupies consecutive positions, else None."""
+    """Start of the (unique) window equal to ``mask``, else None."""
     size = order.size
     if mask >> size:
         raise ParameterError(f"set contains vertices beyond {size}")
@@ -140,12 +145,8 @@ def is_interval(order: GoodCyclicOrder, mask: int) -> int | None:
     if not 1 <= count < size:
         raise ParameterError(
             f"set size must be in 1..{size - 1}, got {count}")
-    occupied = [False] * (size + 1)
-    for p in range(1, size + 1):
-        occupied[p] = bool(mask >> (order.vertex_at(p) - 1) & 1)
-    starts = [p for p in range(1, size + 1)
-              if occupied[p] and not occupied[wrap(p - 1, size)]]
-    return starts[0] if len(starts) == 1 else None
+    return next((start for start, window in intervals(order, count)
+                 if window == mask), None)
 
 
 def orders_containing_count(n: int, r: int) -> int:
@@ -186,10 +187,8 @@ def transpose(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     n = order.n
     if not 1 <= i <= n - 2:
         raise ParameterError(f"transposition index must be in 1..{n - 2}, got {i}")
-    seq = list(order.seq)
-    seq[i - 1], seq[i] = seq[i], seq[i - 1]
-    seq[i + n - 1], seq[i + n] = seq[i + n], seq[i + n - 1]
-    return GoodCyclicOrder(n, tuple(seq))
+    seq = order.seq
+    return _complete(n, seq[:i - 1] + (seq[i], seq[i - 1]) + seq[i + 1:n - 1])
 
 
 def swap_halves(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
@@ -197,9 +196,8 @@ def swap_halves(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     n = order.n
     if not 1 <= i <= n - 1:
         raise ParameterError(f"swap index must be in 1..{n - 1}, got {i}")
-    seq = list(order.seq)
-    seq[i - 1], seq[i + n - 1] = seq[i + n - 1], seq[i - 1]
-    return GoodCyclicOrder(n, tuple(seq))
+    seq = order.seq
+    return _complete(n, seq[:i - 1] + (seq[i + n - 1],) + seq[i:n - 1])
 
 
 @dataclass(frozen=True)
@@ -280,13 +278,7 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
         high = [v for v in range(n + 1, size) if has(v)]
         first_half = low + [v - n for v in high]
 
-    seq = [0] * size
-    for slot, v in enumerate(first_half):
-        seq[slot] = v
-        seq[slot + n] = graph.partner(v)
-    seq[n - 1] = n
-    seq[size - 1] = size
-    order = GoodCyclicOrder(n, tuple(seq))
+    order = _complete(n, first_half)
     if is_interval(order, member_mask) is None:
         raise IntegrityError("constructed order does not contain the member as "
                              "a window; construction bug")

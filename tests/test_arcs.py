@@ -31,6 +31,17 @@ def test_positions_and_wraparound():
     assert fam.starts_through(1) == (1, 4, 5, 6)
 
 
+def test_mask_is_union_of_positions():
+    for size in range(2, 25):
+        for r in range(1, size):
+            fam = IntervalFamily(size, r, ())
+            for s in range(1, size + 1):
+                expected = 0
+                for p in fam.positions(s):
+                    expected |= 1 << (p - 1)
+                assert fam.mask(s) == expected
+
+
 def test_validation():
     with pytest.raises(ParameterError):
         IntervalFamily(6, 6, ())       # length must stay below the size

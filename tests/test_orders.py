@@ -40,6 +40,17 @@ def test_normalize_rotation():
     assert order.seq == (1, 2, 3, 4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GoodCyclicOrder(2, (True, 2, 3, 4)),
+    lambda: GoodCyclicOrder(2, (1.0, 2, 3, 4)),
+    lambda: normalize_rotation(2, (4, True, 2, 3)),
+    lambda: GoodCyclicOrder(2, [1, 2, 3, 4]),    # unhashable, unequal to its tuple
+], ids=["bool", "float", "rotated-bool", "list"])
+def test_order_needs_a_tuple_of_int_labels(make):
+    with pytest.raises(ParameterError):
+        make()
+
+
 @pytest.mark.parametrize("text", ["a,b", "", "1,2,x,4", "1.5,2,3,4"])
 def test_deserialize_rejects_non_integer_tokens(text):
     with pytest.raises(ParameterError):
@@ -128,6 +139,35 @@ def test_is_interval_agrees_with_window_listing():
                 assert is_interval(order, mask) == start
 
 
+def test_intervals_match_definition():
+    # every order for n <= 4, and a spread-out sample for n = 5, 6
+    orders = [o for n in (1, 2, 3, 4) for o in enumerate_good_orders(n)]
+    for n in (5, 6):
+        every = list(enumerate_good_orders(n))
+        orders += every[:: len(every) // 17]
+    for order in orders:
+        size = order.size
+        for r in range(1, size):
+            got = dict(intervals(order, r))
+            assert sorted(got) == list(range(1, size + 1))
+            for s in range(1, size + 1):
+                assert got[s] == mask_of(order.seq[(s - 1 + j) % size]
+                                         for j in range(r))
+
+
+def test_is_interval_matches_definition():
+    # a member of the union family that is not a window reads None
+    for n in (1, 2, 3, 4):
+        for order in enumerate_good_orders(n):
+            seq = order.seq
+            for r in range(1, 2 * n):
+                starts = {frozenset(seq[(s - 1 + j) % (2 * n)] for j in range(r)): s
+                          for s in range(1, 2 * n + 1)}
+                for member in matching_universe(n, r):
+                    expected = starts.get(frozenset(vertices_of(member)))
+                    assert is_interval(order, member) == expected
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
@@ -183,6 +223,20 @@ def test_swap_examples_and_involution():
     assert swap_halves(swap_halves(order, 2), 2) == order
     with pytest.raises(ParameterError):
         swap_halves(order, 4)
+
+
+def test_moves_match_position_swaps():
+    for n in range(1, 6):
+        for order in enumerate_good_orders(n):
+            for i in range(1, n - 1):
+                seq = list(order.seq)
+                for p in (i, i + n):
+                    seq[p - 1], seq[p] = seq[p], seq[p - 1]
+                assert transpose(order, i).seq == tuple(seq)
+            for i in range(1, n):
+                seq = list(order.seq)
+                seq[i - 1], seq[i + n - 1] = seq[i + n - 1], seq[i - 1]
+                assert swap_halves(order, i).seq == tuple(seq)
 
 
 def test_moves_preserve_normalization_closure():
