@@ -23,11 +23,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 
 FamilyKind = str  # "independent" | "max_containing" | "union"
 
 _KINDS = ("independent", "max_containing", "union")
+
+# the most members an enumeration builds (a star over M_8 has 1,792)
+_MAX_MEMBERS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ class MatchingGraph:
         if self.n < 1:
             raise ParameterError(f"need at least one edge, got n={self.n}")
         if 2 * self.n > 64:
-            raise ParameterError(f"supported width is 2n <= 64, got n={self.n}")
+            raise CapacityError(f"supported width is 2n <= 64, got n={self.n}")
 
     @property
     def vertex_count(self) -> int:
@@ -121,9 +124,12 @@ class UniformFamily:
     sets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1 or self.universe_size > 64:
+        if self.universe_size < 1:
             raise ParameterError(
-                f"universe size must be in 1..64, got {self.universe_size}")
+                f"universe size must be at least 1, got {self.universe_size}")
+        if self.universe_size > 64:
+            raise CapacityError(
+                f"supported universe size is at most 64, got {self.universe_size}")
         if not 0 <= self.r <= self.universe_size:
             raise ParameterError(
                 f"cardinality r={self.r} outside 0..{self.universe_size}")
@@ -238,6 +244,12 @@ def _one_per_edge_masks(n: int, edge_subset: tuple[int, ...]) -> Iterator[int]:
         yield (1 << (first + n - 1)) | tail
 
 
+def _check_members(count: int) -> None:
+    if count > _MAX_MEMBERS:
+        raise CapacityError(
+            f"family has {count} members, enumeration supports {_MAX_MEMBERS}")
+
+
 def enumerate_family(n: int, r: int, kind: FamilyKind) -> UniformFamily:
     """The r-uniform family of the requested kind over M_n.
 
@@ -245,7 +257,8 @@ def enumerate_family(n: int, r: int, kind: FamilyKind) -> UniformFamily:
     kind "max_containing": one endpoint of every edge, the rest paired
     up into r-n full edges (empty for r < n).
     kind "union": whichever of the two is nonempty; at r = n they
-    coincide (the maximum independent sets).
+    coincide (the maximum independent sets).  A family of more than
+    2^20 members is a ``CapacityError``, raised before it is built.
     """
     graph = MatchingGraph(n)
     if kind not in _KINDS:
@@ -273,12 +286,12 @@ def enumerate_family(n: int, r: int, kind: FamilyKind) -> UniformFamily:
                 out.append(base | pick)
         return out
 
-    if kind == "independent":
-        masks = independent() if r <= n else []
-    elif kind == "max_containing":
-        masks = max_containing() if r >= n else []
-    else:
-        masks = independent() if r < n else max_containing()
+    # at r = n both kinds are the 2^n maximum independent sets
+    if (kind == "independent" and r > n) or (kind == "max_containing" and r < n):
+        return UniformFamily(graph.vertex_count, r, ())
+    _check_members(binomial(n, r) << r if r <= n
+                   else binomial(n, r - n) << (2 * n - r))
+    masks = independent() if r <= n else max_containing()
     return UniformFamily.from_masks(graph.vertex_count, r, masks)
 
 
@@ -289,10 +302,13 @@ def matching_universe(n: int, r: int) -> UniformFamily:
 
 def complete_uniform_family(m: int, r: int) -> UniformFamily:
     """All r-subsets of the ground set [m]."""
-    if not 1 <= m <= 64:
-        raise ParameterError(f"ground set size must be in 1..64, got {m}")
+    if m < 1:
+        raise ParameterError(f"ground set size must be at least 1, got {m}")
+    if m > 64:
+        raise CapacityError(f"supported ground set size is at most 64, got {m}")
     if not 0 <= r <= m:
         raise ParameterError(f"cardinality r={r} outside 0..{m}")
+    _check_members(binomial(m, r))
     masks = [mask_of(c) for c in combinations(range(1, m + 1), r)]
     return UniformFamily.from_masks(m, r, masks)
 

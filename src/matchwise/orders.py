@@ -55,9 +55,15 @@ class GoodCyclicOrder:
         return 2 * self.n
 
     def vertex_at(self, position: int) -> int:
+        """The vertex at ``position``; every int position wraps."""
+        if type(position) is not int:  # a bool is an int subclass
+            raise ParameterError(f"positions are ints, got {position!r}")
         return self.seq[wrap(position, self.size) - 1]
 
     def position_of(self, vertex: int) -> int:
+        if type(vertex) is not int or not 1 <= vertex <= self.size:
+            raise ParameterError(
+                f"vertex {vertex!r} is not an int label in 1..{self.size}")
         return self.seq.index(vertex) + 1
 
     def serialize(self) -> str:

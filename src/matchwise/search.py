@@ -19,14 +19,15 @@ set are the OR of its vertices' rows, the largest star is the largest
 row, and a witness is a star exactly when its index bitset is a row.
 
 When vertex relabellings of the universe are supplied, the search
-uses the group they generate.  Its action on the members is built once
-per search: one ``bytes`` row per group element, mapping each member's
-index to the index of its image (a universe has at most 64 members, so
-an index fits in a byte).  Only orbit representatives (members that no
-row maps to a smaller index) are tried as the minimal member, and in
-witness-collecting modes the found witnesses are expanded back through
-the rows one orbit at a time, so the reported witness list is always
-the full one.  Results are deterministic for a given input; only the
+uses the group they generate without listing it.  Each permutation kept
+as a generator gets one ``bytes`` row mapping each member's index to
+the index of its image (a universe has at most 64 members, so an index
+fits in a byte), and one breadth-first search, :func:`_orbit`, reads
+any orbit from those rows.  Only orbit minima are tried as the minimal
+member, and in witness-collecting modes each found witness is expanded
+to its whole orbit, so the reported witness list is always the full
+one.  Without relabellings there are no rows and every orbit is a
+single point.  Results are deterministic for a given input; only the
 timings vary.
 """
 
@@ -86,8 +87,9 @@ def matching_symmetry(n: int) -> tuple[tuple[int, ...], ...]:
 
 def complete_symmetry(m: int) -> tuple[tuple[int, ...], ...]:
     """The full symmetric group on the ground set [m]."""
-    if not 1 <= m <= 10:
-        raise ParameterError(f"symmetric group supported for 1 <= m <= 10, got {m}")
+    if not 1 <= m <= 10:  # too big is a capacity limit, too small malformed
+        raise (CapacityError if m > 10 else ParameterError)(
+            f"symmetric group supported for 1 <= m <= 10, got {m}")
     return tuple(permutations(range(1, m + 1)))
 
 
@@ -199,61 +201,63 @@ def _run_root(masks: tuple[int, ...], through: list[int], k: int,
             cand ^= low
             include(low.bit_length() - 1, cand, depth)
 
-    include(i0, _bits_above(i0, len(masks)), 0)
+    include(i0, (1 << len(masks)) - (2 << i0), 0)  # the members above i0
     return records, nodes, best
 
 
-def _bits_above(i: int, total: int) -> int:
-    return ((1 << total) - 1) & ~((1 << (i + 1)) - 1)
+def _orbit(x, gens, act) -> set:
+    """Every image of ``x`` under the group ``gens`` generate, where
+    ``act(y, g)`` is y's image under one generator: a breadth-first
+    search, since a finite group's elements are products of generators."""
+    seen, queue = {x}, [x]
+    for y in queue:  # the loop reaches what is appended to the queue
+        for g in gens:
+            z = act(y, g)
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return seen
 
 
-def _group_action(perms: tuple[tuple[int, ...], ...], masks: tuple[int, ...],
-                  size: int) -> list[bytes]:
-    """One row per element of the group the permutations generate: row[i]
-    is the index of the element's image of masks[i].
+def _image(fam: tuple[int, ...], row: bytes) -> tuple[int, ...]:
+    """The sorted member indices of a family's image under a row."""
+    return tuple(sorted([row[i] for i in fam]))
+
+
+def _generator_rows(perms: tuple[tuple[int, ...], ...], masks: tuple[int, ...],
+                    size: int) -> list[bytes]:
+    """One row per permutation kept as a generator: row[i] is the index
+    of the permutation's image of masks[i].
 
     The permutations are read in order.  One whose vertex images are
-    already in the group built so far is skipped; any other gets its row
-    from ``apply_permutation``, which must land in the universe, becomes
-    a generator, and the group is closed again, composing vertex images
-    and rows alike with ``bytes.translate``.  So every given permutation
-    is checked, directly or as a product of checked ones.
+    already in the group the kept ones generate is skipped; any other
+    gets its row from ``apply_permutation``, which must land in the
+    universe, and is kept.  So every given permutation is checked,
+    directly or as a product of checked ones.
     """
     if not perms:
         raise ParameterError("a symmetry needs at least one permutation")
     labels = set(range(1, size + 1))
     index = {m: i for i, m in enumerate(masks)}
-    total = len(masks)
-    # translate tables have 256 entries; vertex images are 1-based
-    vpad, rpad = bytes(range(size + 1, 256)), bytes(range(total, 256))
-    group = {bytes(range(1, size + 1)): bytes(range(total))}
-    gens: list[tuple[bytes, bytes]] = []
+    # vertex images are 1-based; translate tables have 256 entries
+    identity, pad = bytes(range(size + 1)), bytes(range(size + 1, 256))
+    group, tables, rows = {identity}, [], []
     for perm in perms:
         if (not isinstance(perm, (tuple, list)) or len(perm) != size
                 or set(map(type, perm)) != {int} or set(perm) != labels):
             raise ParameterError(
                 f"symmetry element {perm!r} is not a permutation of 1..{size}")
-        images = bytes(perm)
+        images = b"\0" + bytes(perm)
         if images in group:
             continue
         try:
-            row = bytes([index[apply_permutation(perm, m)] for m in masks])
+            rows.append(bytes([index[apply_permutation(perm, m)] for m in masks]))
         except KeyError:
             raise ParameterError(
                 "symmetry does not preserve the universe") from None
-        gens.append((b"\0" + images + vpad, row + rpad))
-        # the group so far is closed under the earlier generators
-        pending, step = list(group.items()), gens[-1:]
-        while pending:
-            fresh = []
-            for x, y in pending:
-                for gv, gr in step:
-                    z = x.translate(gv)
-                    if z not in group:
-                        group[z] = w = y.translate(gr)
-                        fresh.append((z, w))
-            pending, step = fresh, gens
-    return list(group.values())
+        tables.append(images + pad)
+        group = _orbit(identity, tables, bytes.translate)
+    return rows
 
 
 def max_kwise_family(problem: SearchProblem) -> SearchResult:
@@ -265,7 +269,8 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     maximum family.  Capacity: at most 40 universe members in
     all-maximum modes, 64 otherwise.  Each ``symmetry`` element must
     permute the labels 1..universe_size and map the universe onto
-    itself; the search uses the group the permutations generate.
+    itself; the search uses the group the permutations generate, reads
+    its orbits from the generators and never lists its elements.
     """
     universe, k, mode = problem.universe, problem.k, problem.mode
     if k < 2:
@@ -282,39 +287,34 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
 
     start_time = time.perf_counter()
     masks = universe.sets
-    total = len(masks)
     through = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
                for v in range(universe.universe_size)]
     best = max(t.bit_count() for t in through)  # the largest star
 
-    roots = range(total)
-    action: list[bytes] = []
-    if problem.symmetry is not None:
-        action = _group_action(problem.symmetry, masks, universe.universe_size)
-        roots = [i for i, images in enumerate(zip(*action)) if min(images) >= i]
+    rows = ([] if problem.symmetry is None else
+            _generator_rows(problem.symmetry, masks, universe.universe_size))
 
     records: list[tuple[int, tuple[int, ...]]] = []
     nodes = 1  # the empty-family root
     if collect and best == 0:
         records.append((0, ()))
-    for i0 in roots:
-        recs, nd, best = _run_root(masks, through, k, collect, best, i0)
-        records.extend(recs)
-        nodes += nd
+    covered: set[tuple[int, ...]] = set()
+    for i0 in range(len(masks)):
+        if (i0,) not in covered:  # ascending, so i0 is least in its orbit
+            covered |= _orbit((i0,), rows, _image)
+            recs, nd, best = _run_root(masks, through, k, collect, best, i0)
+            records.extend(recs)
+            nodes += nd
 
     max_size = best
     witnesses: tuple[UniformFamily, ...] = ()
     all_are_stars: bool | None = None
     star_centers: tuple[int, ...] = ()
     if collect:
-        found = {fam for size, fam in records if size == max_size}
-        if action:
-            pending, found = found, set()
-            while pending:
-                fam = pending.pop()
-                orbit = {tuple(sorted([row[i] for i in fam])) for row in action}
-                found |= orbit
-                pending -= orbit
+        found: set[tuple[int, ...]] = set()
+        for size, fam in records:
+            if size == max_size and fam not in found:
+                found |= _orbit(fam, rows, _image)
         # indices ascend with masks, so this is the order of the mask tuples
         ordered = sorted(found)
         if mode == "one_witness":

@@ -170,7 +170,7 @@ MALFORMED = [
     (["bounds", "--n", "3:1"], 2, "parameter"),
     (["bounds", "--n", "2", "--r", "x"], 2, "parameter"),
     (["bounds", "--n", "2:"], 2, "parameter"),
-    (["bounds", "--n", "40"], 2, "parameter"),
+    (["bounds", "--n", "40"], 3, "capacity"),
     (["enumerate", "--n", "3", "--r", "0"], 2, "parameter"),
     (["enumerate", "--n", "0", "--r", "1"], 2, "parameter"),
     (["verify", "--n", "3", "--r", "9", "--k", "3"], 2, "parameter"),
@@ -185,6 +185,7 @@ MALFORMED = [
     (["fuzz", "--target", "assignment", "--trials", "0"], 2, "parameter"),
     (["circle", "--n", "9", "--action", "count"], 3, "capacity"),
     (["circle", "--n", "7", "--action", "moves"], 3, "capacity"),
+    (["enumerate", "--n", "20", "--r", "13"], 3, "capacity"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known

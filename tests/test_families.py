@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from matchwise import (BoundValue, MatchingGraph, ParameterError,
+from matchwise import (BoundValue, CapacityError, MatchingGraph, ParameterError,
                        UniformFamily, binomial, complete_star_bound,
                        complete_uniform_family, enumerate_family,
                        is_k_wise_intersecting, kwise_witness, mask_of,
@@ -46,7 +46,8 @@ def test_matching_graph_basics():
 
 
 def test_matching_graph_width_limit():
-    with pytest.raises(ParameterError):
+    # too wide is a capacity limit, too small a malformed argument
+    with pytest.raises(CapacityError):
         MatchingGraph(33)
     with pytest.raises(ParameterError):
         MatchingGraph(0)
@@ -84,6 +85,20 @@ def test_enumeration_parameter_errors():
         enumerate_family(3, 0, "union")
     with pytest.raises(ParameterError):
         enumerate_family(3, 2, "nonsense")
+
+
+def test_enumeration_size_limit():
+    # sizes come from the closed forms, so these raise before building
+    for n, r, kind in [(20, 13, "union"), (20, 13, "independent"),
+                       (20, 21, "union"), (20, 21, "max_containing")]:
+        with pytest.raises(CapacityError):
+            enumerate_family(n, r, kind)
+    # an empty kind is never too big
+    assert len(enumerate_family(20, 21, "independent")) == 0
+    assert len(enumerate_family(20, 13, "max_containing")) == 0
+    with pytest.raises(CapacityError):
+        complete_uniform_family(64, 32)
+    assert len(complete_uniform_family(64, 63)) == 64
 
 
 def test_empty_branches():
@@ -252,6 +267,10 @@ def test_complete_uniform_family():
     assert len(fam) == 10
     assert fam.universe_size == 5
     assert len(fam.star(3)) == complete_star_bound(5, 2)
+    with pytest.raises(CapacityError):
+        complete_uniform_family(65, 1)
+    with pytest.raises(ParameterError):
+        complete_uniform_family(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +278,10 @@ def test_complete_uniform_family():
 # ---------------------------------------------------------------------------
 
 def test_family_validation():
+    with pytest.raises(CapacityError):
+        UniformFamily(65, 1, ())             # wider than a 64-bit mask
+    with pytest.raises(ParameterError):
+        UniformFamily(0, 0, ())
     with pytest.raises(ParameterError):
         UniformFamily(6, 3, (7, 7))          # duplicates / not ascending
     with pytest.raises(ParameterError):

@@ -30,9 +30,21 @@ def test_positions_and_serialization():
     order = identity_order(3)
     assert order.vertex_at(2) == 2
     assert order.vertex_at(8) == 2              # positions wrap
+    assert order.vertex_at(-5) == 1             # every int position does
     assert order.position_of(5) == 5
     assert order.serialize() == "1,2,3,4,5,6"
     assert GoodCyclicOrder.deserialize(3, "1,2,3,4,5,6") == order
+
+
+@pytest.mark.parametrize("access, arg", [
+    ("position_of", 0), ("position_of", 7), ("position_of", -1),
+    ("position_of", "a"), ("position_of", 1.0), ("position_of", True),
+    ("vertex_at", "a"), ("vertex_at", 1.0), ("vertex_at", True),
+    ("vertex_at", None),
+])
+def test_order_accessors_reject_malformed_arguments(access, arg):
+    with pytest.raises(ParameterError):
+        getattr(identity_order(3), access)(arg)
 
 
 def test_normalize_rotation():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchwise import search
 from matchwise import (CapacityError, ParameterError, SearchProblem,
                        UniformFamily, apply_permutation, canonical_form,
                        complete_symmetry, complete_uniform_family,
@@ -156,6 +157,10 @@ def test_parameter_and_capacity_errors():
     with pytest.raises(CapacityError):
         max_kwise_family(SearchProblem(mid, 2, "all_maximum"))
     assert max_kwise_family(SearchProblem(mid, 2, "max_size_only")).max_size == 9
+    with pytest.raises(CapacityError):
+        complete_symmetry(11)
+    with pytest.raises(ParameterError):
+        complete_symmetry(0)
 
 
 def test_symmetry_must_preserve_universe():
@@ -355,6 +360,52 @@ def test_symmetry_differential_across_small_universes():
             [w.sets for w in sym.witnesses], (n, r, k)
         assert plain.all_are_stars == sym.all_are_stars
         assert plain.star_centers == sym.star_centers
+
+
+def _matching_generators(n):
+    """An edge transposition, the edge n-cycle and one flip of M_n."""
+    def on_edges(f):  # edge e becomes edge f(e), each side kept
+        return tuple(f(v) if v <= n else f(v - n) + n
+                     for v in range(1, 2 * n + 1))
+    m = min(n, 2)
+    swap = on_edges(lambda e: {1: m, m: 1}.get(e, e))
+    cycle = on_edges(lambda e: e % n + 1)
+    flip = tuple({1: n + 1, n + 1: 1}.get(v, v) for v in range(1, 2 * n + 1))
+    return swap, cycle, flip
+
+
+def test_symmetry_generating_sets_agree_across_small_universes():
+    # three generators, or the group listed twice, give the group's search
+    groups = {}
+    for n, r, k in _symmetry_cases():
+        group = groups.setdefault(n, matching_symmetry(n))
+        universe = matching_universe(n, r)
+        full = max_kwise_family(SearchProblem(universe, k, symmetry=group))
+        for symmetry in (_matching_generators(n),
+                         tuple(reversed(group)) + group):
+            got = max_kwise_family(SearchProblem(universe, k, symmetry=symmetry))
+            assert [w.sets for w in got.witnesses] == \
+                [w.sets for w in full.witnesses], (n, r, k)
+            assert got.star_centers == full.star_centers, (n, r, k)
+            assert got.explored_nodes == full.explored_nodes, (n, r, k)
+
+
+def test_rows_are_built_for_generators_only(monkeypatch):
+    # one apply_permutation call per member (32 here) of each kept generator
+    calls = []
+
+    def counting(perm, mask):
+        calls.append(perm)
+        return apply_permutation(perm, mask)
+
+    monkeypatch.setattr(search, "apply_permutation", counting)
+    G5 = matching_symmetry(5)
+    universe = matching_universe(5, 5)
+    for symmetry, count in ((G5, 288), ((G5[768], G5[1056], G5[1]), 96),
+                            (tuple(reversed(G5)) + G5, 192)):
+        calls.clear()
+        max_kwise_family(SearchProblem(universe, 3, "max_size_only", symmetry))
+        assert len(calls) == count
 
 
 # ---------------------------------------------------------------------------
