@@ -9,9 +9,9 @@ The central procedure, :func:`assign_indices`, is an executable
 double-counting argument on the complements of the arcs (which are
 arcs of length N-r).  After rotating the labels so one distinguished
 complement ends at position N, every other complement is assigned the
-index it ends at, the distinguished one absorbs the index block
-[N, k(N-r)], and the index range [1, k(N-r)] is partitioned into
-residue classes mod N-r.  Two mutually exclusive outcomes arise:
+index it ends at and the distinguished one the block [N, k(N-r)]; the
+assigned indices are held in one bitset.  The range [1, k(N-r)] falls
+into residue classes mod N-r.  Two mutually exclusive outcomes arise:
 
 * every class keeps an unassigned index, which forces the family to
   have at most r members ("bounded"), or
@@ -50,15 +50,18 @@ class IntervalFamily:
     starts: tuple[int, ...]  # ascending start positions in 1..size
 
     def __post_init__(self) -> None:
-        if self.size < 2:
-            raise ParameterError(f"circle needs at least 2 positions, got {self.size}")
-        if not 1 <= self.length < self.size:
+        # bool is an int subclass, and a float would leak into every report
+        if type(self.size) is not int or self.size < 2:
+            raise ParameterError(f"circle needs an int N >= 2 positions, got {self.size!r}")
+        if type(self.length) is not int or not 1 <= self.length < self.size:
             raise ParameterError(
-                f"arc length must satisfy 1 <= r < N, got r={self.length}, N={self.size}")
+                f"arc length must be an int 1 <= r < N, got r={self.length!r}, N={self.size}")
+        if type(self.starts) is not tuple:
+            raise ParameterError(f"starts must be a tuple, got {self.starts!r}")
         prev = 0
         for s in self.starts:
-            if not 1 <= s <= self.size:
-                raise ParameterError(f"start {s} outside 1..{self.size}")
+            if type(s) is not int or not 1 <= s <= self.size:
+                raise ParameterError(f"start {s!r} is not an int in 1..{self.size}")
             if s <= prev:
                 raise ParameterError("starts must be strictly ascending")
             prev = s
@@ -97,7 +100,9 @@ class AssignmentReport:
     distinguished complement ends at position N (equivalently, the
     distinguished member starts at 1); ``rotation`` records the shift
     that was applied to the input labels.  The witness, when present,
-    is reported back in the input labelling.
+    is reported back in the input labelling.  The procedure holds the
+    assigned indices in one bitset; ``assigned`` and ``classes`` are
+    rebuilt from the other fields on demand.
     """
 
     size: int
@@ -105,9 +110,7 @@ class AssignmentReport:
     k: int
     rotation: int
     normalized_starts: tuple[int, ...]
-    assigned: Mapping[int, int]            # index -> normalized member start
     unassigned: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]   # residue classes mod size-length
     outcome: str                           # "bounded" | "covering_witness"
     witness_members: tuple[int, ...] | None = None        # original starts, k of them
     witness_complements: tuple[tuple[int, ...], ...] | None = None
@@ -115,6 +118,19 @@ class AssignmentReport:
     @property
     def bounded(self) -> bool:
         return self.outcome == "bounded"
+
+    @property
+    def assigned(self) -> Mapping[int, int]:
+        """Index -> normalized start; start 1 (listed first) holds N..k(N-r)."""
+        block = range(self.size, self.k * (self.size - self.length) + 1)
+        return MappingProxyType({**{s - 1: s for s in self.normalized_starts[1:]},
+                                 **dict.fromkeys(block, 1)})
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The residue classes of 1..k(N-r) mod N-r."""
+        d = self.size - self.length
+        return tuple(tuple(c + j * d for j in range(self.k)) for c in range(1, d + 1))
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -127,12 +143,6 @@ class AssignmentReport:
         if self.witness_complements is not None:
             obj["witness"] = [list(arc) for arc in self.witness_complements]
         return obj
-
-
-def _complement_end(fam: IntervalFamily, start: int) -> int:
-    # the complement of the arc starting at s is the arc of length N-r
-    # beginning at s+r and ending at s-1
-    return wrap(start - 1, fam.size)
 
 
 def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
@@ -155,41 +165,32 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
 
     d = n - r                      # class modulus; complements have length d
     span = k * d                   # indices 1..span, span >= n
-    g_start = max(fam.starts, key=lambda s: _complement_end(fam, s))
-    rotation = n - _complement_end(fam, g_start)
+    # the complement of the arc at s ends at s-1: the distinguished one,
+    # ending last, is start 1's if present, else the largest start's
+    rotation = 0 if fam.starts[0] == 1 else (1 - fam.starts[-1]) % n
 
-    def normalize(p: int) -> int:
-        return wrap(p + rotation, n)
+    normalized = tuple(sorted(wrap(s + rotation, n) for s in fam.starts))
+    # bit x of held <=> index x is assigned: the complement of start s > 1
+    # takes the index s-1 it ends at, the distinguished one the block N..span
+    held = (1 << span + 1) - (1 << n)
+    for s in normalized[1:]:
+        held |= 1 << s - 1
+    # bit c of full <=> every index c, c+d, ..., c+(k-1)d of class c is held
+    full = (1 << d + 1) - 2
+    for j in range(k):
+        full &= held >> j * d
+    unassigned = tuple(x for x in range(1, span + 1) if not held >> x & 1)
 
-    def denormalize(p: int) -> int:
-        return wrap(p - rotation, n)
-
-    normalized = tuple(sorted(normalize(s) for s in fam.starts))
-    assigned: dict[int, int] = {}
-    for s in normalized:
-        if s == 1:
-            continue                       # the distinguished member
-        assigned[s - 1] = s                # its complement ends at s-1
-    for x in range(n, span + 1):
-        assigned[x] = 1
-
-    classes = tuple(tuple(c + j * d for j in range(k)) for c in range(1, d + 1))
-    unassigned = tuple(x for x in range(1, span + 1) if x not in assigned)
-
-    full_class = next((cls for cls in classes
-                       if all(x in assigned for x in cls)), None)
-    if full_class is None:
+    if not full:
         if len(fam) > r:
-            raise IntegrityError(
-                "every class has an unassigned index yet |family| > r; "
-                "the index accounting is broken")
-        return AssignmentReport(n, r, k, rotation, normalized,
-                                MappingProxyType(assigned), unassigned,
-                                classes, "bounded")
+            raise IntegrityError("every class has an unassigned index yet "
+                                 "|family| > r; the index accounting is broken")
+        return AssignmentReport(n, r, k, rotation, normalized, unassigned, "bounded")
 
     # A fully assigned class: the complements ending at its indices
     # cover the circle.  Indices >= N all belong to the distinguished
     # complement, which ends at N.
+    full_class = range((full & -full).bit_length() - 1, span + 1, d)
     members = []
     complements = []
     covered = 0
@@ -198,16 +199,14 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
         comp_start = wrap(end - d + 1, n)
         arc = tuple(wrap(comp_start + j, n) for j in range(d))
         member_norm = wrap(end + 1, n)     # complement end e <-> member start e+1
-        members.append(denormalize(member_norm))
-        complements.append(tuple(denormalize(p) for p in arc))
+        members.append(wrap(member_norm - rotation, n))
+        complements.append(tuple(wrap(p - rotation, n) for p in arc))
         for p in arc:
             covered |= 1 << (p - 1)
     if covered != (1 << n) - 1:
         raise IntegrityError("covering witness fails to cover the circle")
-    return AssignmentReport(n, r, k, rotation, normalized,
-                            MappingProxyType(assigned), unassigned, classes,
-                            "covering_witness", tuple(members),
-                            tuple(complements))
+    return AssignmentReport(n, r, k, rotation, normalized, unassigned,
+                            "covering_witness", tuple(members), tuple(complements))
 
 
 def common_index(fam: IntervalFamily, k: int) -> int:

@@ -124,18 +124,24 @@ class UniformFamily:
     sets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1:
+        # bool is an int subclass, a float breaks the bit arithmetic, and a
+        # list of sets would leave the family unhashable
+        if type(self.universe_size) is not int or self.universe_size < 1:
             raise ParameterError(
-                f"universe size must be at least 1, got {self.universe_size}")
+                f"universe size must be an int of at least 1, got {self.universe_size!r}")
         if self.universe_size > 64:
             raise CapacityError(
                 f"supported universe size is at most 64, got {self.universe_size}")
-        if not 0 <= self.r <= self.universe_size:
+        if type(self.r) is not int or not 0 <= self.r <= self.universe_size:
             raise ParameterError(
-                f"cardinality r={self.r} outside 0..{self.universe_size}")
+                f"cardinality r={self.r!r} is not an int in 0..{self.universe_size}")
+        if type(self.sets) is not tuple:
+            raise ParameterError(f"sets must be a tuple, got {self.sets!r}")
         full = (1 << self.universe_size) - 1
         prev = -1
         for s in self.sets:
+            if type(s) is not int:
+                raise ParameterError(f"sets are int bitmasks, got {s!r}")
             if s <= prev:
                 raise ParameterError("family sets must be strictly ascending")
             if s & ~full:

@@ -17,6 +17,7 @@ then pins all of them to one shared position.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -303,34 +304,45 @@ class SaturationStatus:
     common_vertex: int | None = None
 
 
-def saturation(order: GoodCyclicOrder, fam: UniformFamily,
-               k: int) -> SaturationStatus:
-    """Count family members appearing as windows of the order.
+@functools.lru_cache(maxsize=8)
+def _saturation_members(n: int, fam: UniformFamily, k: int) -> frozenset:
+    """The members of ``fam`` once it passes saturation's family checks.
 
-    The family must lie in the union family at its cardinality r, with
-    k*r <= (k-1)*2n, and is trusted to be k-wise intersecting.  At
-    most r members can be windows; exactly r means
-    the order is saturated, and the common-index extraction then
-    recovers the position (and vertex) shared by all of them.  A count
-    above r is impossible for a k-wise intersecting family, so it
-    raises IntegrityError.
+    Cached, so a family saturated against every order is checked once;
+    a failed check raises again on every call, as lru_cache keeps no
+    exceptions.
     """
-    graph = MatchingGraph(order.n)
+    graph = MatchingGraph(n)
     if fam.universe_size != graph.vertex_count:
         raise ParameterError("family universe does not match the order's graph")
     r = fam.r
     if not 1 <= r < graph.vertex_count:
         raise ParameterError(f"need 1 <= r < 2n, got r={r}")
-    if k * r > (k - 1) * graph.vertex_count:
+    if k * r >= (k - 1) * graph.vertex_count:
         raise ParameterError(
-            f"saturation analysis needs k*r <= (k-1)*2n, got k={k}, r={r}, n={order.n}")
-    expected_full = max(0, r - order.n)
+            f"saturation analysis needs k*r < (k-1)*2n strictly, got k={k}, r={r}, n={n}")
+    expected_full = max(0, r - n)
     for s in fam.sets:
         if graph.full_edge_count(s) != expected_full:
             raise ParameterError(
                 f"family member {s:#x} is not in the union family for r={r}")
+    return frozenset(fam.sets)
 
-    member_set = set(fam.sets)
+
+def saturation(order: GoodCyclicOrder, fam: UniformFamily,
+               k: int) -> SaturationStatus:
+    """Count family members appearing as windows of the order.
+
+    The family must lie in the union family at its cardinality r, with
+    k*r < (k-1)*2n strictly, and is trusted to be k-wise intersecting;
+    these checks run once per family, not once per order.  At most r
+    members can be windows; exactly r means the order is saturated,
+    and the common-index extraction then recovers the position (and
+    vertex) shared by all of them.  A count above r is impossible for
+    a k-wise intersecting family, so it raises IntegrityError.
+    """
+    r = fam.r
+    member_set = _saturation_members(order.n, fam, k)
     starts = [start for start, mask in intervals(order, r) if mask in member_set]
     if len(starts) > r:
         raise IntegrityError(
@@ -338,7 +350,7 @@ def saturation(order: GoodCyclicOrder, fam: UniformFamily,
             "possible for a k-wise intersecting family")
     if len(starts) < r:
         return SaturationStatus(False, len(starts))
-    arc_fam = IntervalFamily.from_starts(graph.vertex_count, r, starts)
+    arc_fam = IntervalFamily.from_starts(order.size, r, starts)
     position = common_index(arc_fam, k)
     return SaturationStatus(True, r, position, order.vertex_at(position))
 
@@ -369,9 +381,6 @@ def saturation_preserved_under_move(order: GoodCyclicOrder, move: tuple[str, int
     r = fam.r
     if r < n:
         raise ParameterError(f"preservation analysis needs r >= n, got r={r}")
-    if k * r >= (k - 1) * size:
-        raise ParameterError(
-            f"preservation analysis needs k*r < (k-1)*2n strictly, got k={k}, r={r}")
     if kind == "T":
         if not 1 <= i <= n - 2:
             raise ParameterError(f"T move index must be in 1..{n - 2}, got {i}")

@@ -1,4 +1,5 @@
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +52,26 @@ def test_validation():
         IntervalFamily(6, 2, (0,))
     with pytest.raises(ParameterError):
         IntervalFamily(6, 2, (3, 3))
+
+
+@pytest.mark.parametrize("args", [
+    (6.0, 2, ()),
+    (6, True, ()),
+    (6, 2.0, ()),
+    (6, 3, (1.0, 3)),
+    (6, 3, (True,)),
+    (6, 3, ("a",)),
+    (6, 3, [1, 3]),                          # a list is unhashable
+])
+def test_rejects_malformed_fields(args):
+    with pytest.raises(ParameterError):
+        IntervalFamily(*args)
+
+
+@pytest.mark.parametrize("starts", [["a"], [1.0], [True, 3]])
+def test_from_starts_rejects_non_int_starts(starts):
+    with pytest.raises(ParameterError):
+        IntervalFamily.from_starts(6, 2, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +153,73 @@ def test_exhaustive_soundness_small_circles():
                             for arc in report.witness_complements:
                                 covered.update(arc)
                             assert covered == set(all_starts)
+
+
+def assignment_by_definition(fam: IntervalFamily, k: int) -> dict:
+    """Every report field of the assignment, built as the procedure states
+    it: an index -> start dict, the residue class tuples and a scan for
+    the first fully assigned class."""
+    n, r = fam.size, fam.length
+    d, span = n - r, k * (n - r)
+
+    def wrap(p):
+        return (p - 1) % n + 1
+
+    # the complement of the arc at s ends at s-1; the distinguished
+    # complement is the one ending last
+    g_start = max(fam.starts, key=lambda s: wrap(s - 1))
+    rotation = n - wrap(g_start - 1)
+    normalized = tuple(sorted(wrap(s + rotation) for s in fam.starts))
+    assigned = {}
+    for s in normalized:
+        if s != 1:
+            assigned[s - 1] = s
+    for x in range(n, span + 1):
+        assigned[x] = 1
+    classes = tuple(tuple(c + j * d for j in range(k)) for c in range(1, d + 1))
+    unassigned = tuple(x for x in range(1, span + 1) if x not in assigned)
+    full_class = next((c for c in classes if all(x in assigned for x in c)), None)
+    fields = dict(size=n, length=r, k=k, rotation=rotation,
+                  normalized_starts=normalized, assigned=assigned,
+                  unassigned=unassigned, classes=classes, outcome="bounded",
+                  witness_members=None, witness_complements=None)
+    json_obj = {"N": n, "r": r, "k": k, "outcome": "bounded",
+                "unassigned": list(unassigned)}
+    if full_class is not None:
+        members, complements = [], []
+        for x in full_class:
+            end = min(x, n)
+            members.append(wrap(end + 1 - rotation))
+            complements.append(tuple(wrap(end - d + 1 + j - rotation)
+                                     for j in range(d)))
+        fields.update(outcome="covering_witness", witness_members=tuple(members),
+                      witness_complements=tuple(complements))
+        json_obj.update(outcome="covering_witness",
+                        witness=[list(arc) for arc in complements])
+    fields["json"] = json_obj
+    return fields
+
+
+def test_assignment_matches_its_definition():
+    # every nonempty start set for N <= 8, every r and each k <= 5 in regime
+    checked = 0
+    for size in range(2, 9):
+        for length in range(1, size):
+            for k in range(2, 6):
+                if k * length > (k - 1) * size:
+                    continue
+                for m in range(1, size + 1):
+                    for starts in combinations(range(1, size + 1), m):
+                        fam = IntervalFamily(size, length, starts)
+                        expected = assignment_by_definition(fam, k)
+                        report = assign_indices(fam, k)
+                        assert type(report.assigned) is MappingProxyType
+                        assert list(report.assigned.items()) == list(
+                            expected.pop("assigned").items())
+                        assert report.to_json_obj() == expected.pop("json")
+                        assert {f: getattr(report, f) for f in expected} == expected
+                        checked += 1
+    assert checked == 9042
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from matchwise import cli
 from matchwise.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +190,8 @@ MALFORMED = [
     (["circle", "--n", "9", "--action", "count"], 3, "capacity"),
     (["circle", "--n", "7", "--action", "moves"], 3, "capacity"),
     (["enumerate", "--n", "20", "--r", "13"], 3, "capacity"),
+    (["circle", "--n", "3", "--r", "3", "--k", "2", "--action", "saturate"],
+     2, "parameter"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known
@@ -312,9 +318,10 @@ def test_csv_matches_json(capsys, argv, header):
 
 
 def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "matchwise", "circle", "--n", "2",
          "--action", "moves", "--format", "json"],
-        capture_output=True, text=True)
+        env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["connected"] is True

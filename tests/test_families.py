@@ -290,6 +290,21 @@ def test_family_validation():
         UniformFamily(4, 2, (mask_of({5, 1}),))  # outside universe
 
 
+@pytest.mark.parametrize("args", [
+    (6.0, 3, ()),
+    (True, 1, ()),
+    (6, 3.0, ()),
+    (6, True, (1,)),
+    (6, 3, [7]),                             # a list is unhashable
+    (6, 3, (7.0,)),
+    (6, 1, (True,)),
+    (6, 3, ("a",)),
+])
+def test_family_rejects_malformed_fields(args):
+    with pytest.raises(ParameterError):
+        UniformFamily(*args)
+
+
 def test_from_masks_dedupes_and_sorts():
     fam = UniformFamily.from_masks(6, 2, [0b11, 0b101, 0b11])
     assert fam.sets == (0b11, 0b101)

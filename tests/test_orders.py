@@ -1,14 +1,15 @@
 import pytest
 
 from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
-                       ParameterError, UniformFamily, connectivity_check,
-                       construct_order_containing, counting_bound,
+                       MatchingGraph, ParameterError, UniformFamily,
+                       connectivity_check, construct_order_containing, counting_bound,
                        enumerate_good_orders, good_order_count, identity_order,
                        intervals, is_interval, mask_of, matching_star_bound,
                        matching_universe, normalize_rotation,
                        orders_containing_count, saturation,
                        saturation_preserved_under_move, swap_halves, transpose,
                        vertices_of)
+from matchwise import orders
 
 from oracles import brute_good_orders, windows_of
 
@@ -362,6 +363,30 @@ def test_saturation_rejects_foreign_members():
     bad = UniformFamily.from_vertex_sets(6, 3, [{1, 2, 4}])  # not independent
     with pytest.raises(ParameterError):
         saturation(identity_order(3), bad, 7)
+
+
+def test_saturation_needs_the_strict_regime():
+    # at k*r = (k-1)*2n a saturated order would fail inside common_index,
+    # so the boundary is rejected up front, even for a family no order holds
+    with pytest.raises(ParameterError, match="saturation"):
+        saturation(identity_order(3), UniformFamily(6, 3, ()), 2)
+
+
+def test_saturation_checks_a_family_once(monkeypatch):
+    calls = 0
+    full_edge_count = MatchingGraph.full_edge_count
+
+    def counted(self, mask):
+        nonlocal calls
+        calls += 1
+        return full_edge_count(self, mask)
+
+    monkeypatch.setattr(MatchingGraph, "full_edge_count", counted)
+    orders._saturation_members.cache_clear()
+    star = matching_universe(6, 8).star(12)
+    statuses = [saturation(order, star, 4) for order in enumerate_good_orders(6)]
+    assert len(statuses) == 3840 and all(st.common_vertex == 12 for st in statuses)
+    assert calls == len(star) == 160
 
 
 def test_move_preservation_for_stars():
