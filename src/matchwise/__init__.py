@@ -36,8 +36,8 @@ from .orders import (ConnectivityReport, GoodCyclicOrder, MoveSaturationReport,
 from .schema import SCHEMA_VERSION
 from .search import (ExtremalReport, SearchProblem, SearchResult,
                      apply_permutation, canonical_form, complete_symmetry,
-                     matching_symmetry, max_kwise_family,
-                     verify_extremal_characterization)
+                     matching_symmetry, matching_symmetry_generators,
+                     max_kwise_family, verify_extremal_characterization)
 
 __version__ = "0.1.0"
 
@@ -53,8 +53,8 @@ __all__ = [
     "enumerate_good_orders", "fuzz_assignment", "fuzz_common_index",
     "good_order_count", "identity_order", "intervals", "is_interval",
     "is_k_wise_intersecting", "kwise_witness", "mask_of", "matching_star_bound",
-    "matching_symmetry", "matching_universe", "max_kwise_family",
-    "normalize_rotation", "orders_containing_count", "run_fuzz", "saturation",
-    "saturation_preserved_under_move", "swap_halves", "transpose",
-    "verify_extremal_characterization", "vertices_of",
+    "matching_symmetry", "matching_symmetry_generators", "matching_universe",
+    "max_kwise_family", "normalize_rotation", "orders_containing_count",
+    "run_fuzz", "saturation", "saturation_preserved_under_move", "swap_halves",
+    "transpose", "verify_extremal_characterization", "vertices_of",
 ]

@@ -68,6 +68,13 @@ class IntervalFamily:
 
     @classmethod
     def from_starts(cls, size: int, length: int, starts) -> "IntervalFamily":
+        try:
+            starts = tuple(starts)
+        except TypeError:
+            raise ParameterError(f"starts must be iterable, got {starts!r}") from None
+        for s in starts:  # before set() merges True into 1 or sorted() mixes types
+            if type(s) is not int:
+                raise ParameterError(f"start {s!r} is not an int")
         return cls(size, length, tuple(sorted(set(starts))))
 
     def __len__(self) -> int:

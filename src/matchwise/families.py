@@ -154,12 +154,19 @@ class UniformFamily:
     @classmethod
     def from_masks(cls, universe_size: int, r: int,
                    masks: Iterable[int]) -> "UniformFamily":
+        try:
+            masks = tuple(masks)
+        except TypeError:
+            raise ParameterError(f"masks must be iterable, got {masks!r}") from None
+        for m in masks:  # before set() merges True into 1 or sorted() mixes types
+            if type(m) is not int:
+                raise ParameterError(f"sets are int bitmasks, got {m!r}")
         return cls(universe_size, r, tuple(sorted(set(masks))))
 
     @classmethod
     def from_vertex_sets(cls, universe_size: int, r: int,
                          sets: Iterable[Iterable[int]]) -> "UniformFamily":
-        return cls.from_masks(universe_size, r, (mask_of(s) for s in sets))
+        return cls.from_masks(universe_size, r, [mask_of(s) for s in sets])
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -339,21 +346,29 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     depth_cap = min(k, len(members))
     if depth_cap == 0:
         return None
+    chosen: list[int] = []
+    # (intersection, members left) states whose subtree found nothing.  A
+    # state seen again finds nothing either: if its members plus some E
+    # had an empty intersection, so would the members of its earlier twin
+    # plus E, a choice the scan would have reached first.
+    failed: set[tuple[int, int]] = set()
 
-    def descend(start: int, inter: int, chosen: list[int]) -> tuple[int, ...] | None:
+    def descend(start: int, inter: int, left: int) -> tuple[int, ...] | None:
         if inter == 0:
-            pad = chosen + [chosen[-1]] * (k - len(chosen))
-            return tuple(pad)
-        if len(chosen) == depth_cap:
+            return tuple(chosen + [chosen[-1]] * (k - len(chosen)))
+        if left == 0 or (inter, left) in failed:
             return None
         for i in range(start, len(members)):
-            found = descend(i + 1, inter & members[i], chosen + [members[i]])
+            chosen.append(members[i])
+            found = descend(i + 1, inter & members[i], left - 1)
+            chosen.pop()
             if found is not None:
                 return found
+        failed.add((inter, left))
         return None
 
     full = (1 << fam.universe_size) - 1
-    return descend(0, full, [])
+    return descend(0, full, depth_cap)
 
 
 def is_k_wise_intersecting(fam: UniformFamily, k: int) -> bool:

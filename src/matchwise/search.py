@@ -5,18 +5,21 @@ ascending bitmask order (include explored first), so the first member
 of any family is its minimum and every subfamily is visited at most
 once.  Two ingredients keep the tree small:
 
-* an incremental k-wise feasibility filter: the intersections of all
-  (k-1)-subsets of the current family are maintained append-only, and
-  a candidate survives only while it meets every one of them (each new
-  intersection lies inside the new member, so survivors also meet it),
+* an incremental k-wise feasibility filter: the distinct intersections
+  of the j-subsets of the current family are kept as one set per j <
+  k, and a candidate survives only while it meets every (k-1)-wise one
+  (each new intersection lies inside the new member, so survivors also
+  meet it).  Adding a member filters by the intersections it creates
+  that were not there before, and removing it takes exactly those out,
 * best-found pruning seeded with the largest star in the universe
   (stars are k-wise intersecting for every k, so this lower bound is
   always achievable).
 
 Both read one incidence table built per search: ``through[v]`` is the
 bitset of member indices containing vertex v+1.  The members meeting a
-set are the OR of its vertices' rows, the largest star is the largest
-row, and a witness is a star exactly when its index bitset is a row.
+set are the OR of its vertices' rows, kept per set for the whole
+search, the largest star is the largest row, and a witness is a star
+exactly when its index bitset is a row.
 
 When vertex relabellings of the universe are supplied, the search
 uses the group they generate without listing it.  Each permutation kept
@@ -85,6 +88,23 @@ def matching_symmetry(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
+def matching_symmetry_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of :func:`matching_symmetry`'s group: a swap of edges 1
+    and 2 and the edge n-cycle e -> e+1, each keeping every endpoint's
+    side, and the flip of edge 1's endpoints.  Identities and repeats,
+    which occur for n <= 2, are left out."""
+    MatchingGraph(n)
+    identity = tuple(range(1, 2 * n + 1))
+
+    def on_edges(f):  # edge e becomes edge f(e)
+        return tuple(f(v) if v <= n else f(v - n) + n for v in identity)
+    m = min(n, 2)
+    swap = on_edges(lambda e: {1: m, m: 1}.get(e, e))
+    cycle = on_edges(lambda e: e % n + 1)
+    flip = tuple({1: n + 1, n + 1: 1}.get(v, v) for v in identity)
+    return tuple(dict.fromkeys(g for g in (swap, cycle, flip) if g != identity))
+
+
 def complete_symmetry(m: int) -> tuple[tuple[int, ...], ...]:
     """The full symmetric group on the ground set [m]."""
     if not 1 <= m <= 10:  # too big is a capacity limit, too small malformed
@@ -136,7 +156,25 @@ class SearchResult:
     elapsed: float
 
 
-def _run_root(masks: tuple[int, ...], through: list[int], k: int,
+class _Meets(dict):
+    """``meets[x]`` is the bitset of the members that meet vertex set x:
+    the OR of x's rows of ``through``, computed once per x and search."""
+
+    def __init__(self, through: list[int]) -> None:
+        super().__init__()
+        self.through = through
+
+    def __missing__(self, x: int) -> int:
+        out, rest = 0, x
+        while rest:
+            low = rest & -rest
+            out |= self.through[low.bit_length() - 1]
+            rest ^= low
+        self[x] = out
+        return out
+
+
+def _run_root(masks: tuple[int, ...], meets: _Meets, k: int,
               collect: bool, best: int, i0: int
               ) -> tuple[list[tuple[int, tuple[int, ...]]], int, int]:
     """Explore every family whose minimal member is masks[i0].
@@ -151,17 +189,9 @@ def _run_root(masks: tuple[int, ...], through: list[int], k: int,
     nodes = 0
     records: list[tuple[int, tuple[int, ...]]] = []
     chosen: list[int] = []
-    # levels[j] = intersections of all j-subsets of the chosen family
-    levels: list[list[int]] = [[(1 << 64) - 1]] + [[] for _ in range(km1)]
-
-    def meets(x: int) -> int:
-        """Bitset of the members that meet vertex set x."""
-        out = 0
-        while x:
-            low = x & -x
-            out |= through[low.bit_length() - 1]
-            x ^= low
-        return out
+    # levels[j] = the distinct intersections of the j-subsets of the chosen
+    # family; every one at level k-1 has already filtered the candidates
+    levels: list[set[int]] = [{(1 << 64) - 1}] + [set() for _ in range(km1)]
 
     def record(depth: int) -> None:
         nonlocal best
@@ -175,19 +205,19 @@ def _run_root(masks: tuple[int, ...], through: list[int], k: int,
         """Add member i, filter candidates, recurse, undo."""
         mi = masks[i]
         bind = min(km1, depth + 1)
-        saved = [len(levels[j]) for j in range(bind + 1)]
-        for j in range(bind, 0, -1):
-            lower = levels[j - 1]
-            levels[j].extend(x & mi for x in lower[:saved[j - 1]])
-        for x in levels[bind][saved[bind]:]:
+        added: list = [None] * (bind + 1)
+        for j in range(bind, 0, -1):  # downward: levels[j-1] is still old
+            added[j] = {x & mi for x in levels[j - 1]} - levels[j]
+            levels[j] |= added[j]
+        for x in added[bind]:
             if not cand:
                 break
-            cand &= meets(x)
+            cand &= meets[x]
         chosen.append(i)
         extend(cand, depth + 1)
         chosen.pop()
         for j in range(bind, 0, -1):
-            del levels[j][saved[j]:]
+            levels[j] -= added[j]
 
     def extend(cand: int, depth: int) -> None:
         nonlocal nodes
@@ -290,6 +320,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     through = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
                for v in range(universe.universe_size)]
     best = max(t.bit_count() for t in through)  # the largest star
+    meets = _Meets(through)
 
     rows = ([] if problem.symmetry is None else
             _generator_rows(problem.symmetry, masks, universe.universe_size))
@@ -302,7 +333,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     for i0 in range(len(masks)):
         if (i0,) not in covered:  # ascending, so i0 is least in its orbit
             covered |= _orbit((i0,), rows, _image)
-            recs, nd, best = _run_root(masks, through, k, collect, best, i0)
+            recs, nd, best = _run_root(masks, meets, k, collect, best, i0)
             records.extend(recs)
             nodes += nd
 
@@ -408,10 +439,9 @@ def verify_extremal_characterization(n: int, r: int, k: int,
     inequality k*r < (k-1)*2n the maximum families are additionally
     required to be exactly the stars; at the boundary
     k*r = (k-1)*2n the bound still holds but uniqueness is reported
-    without being asserted.
+    without being asserted.  The search reduces by M_n's symmetry
+    group through its three generators.
     """
-    if n > 4:
-        raise CapacityError(f"exhaustive characterization supports n <= 4, got n={n}")
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
     if not n <= r <= 2 * n - 1:
@@ -419,9 +449,11 @@ def verify_extremal_characterization(n: int, r: int, k: int,
     if k * r > (k - 1) * 2 * n:
         raise ParameterError(
             f"need k*r <= (k-1)*2n, got k={k}, r={r}, n={n}")
+    if n > 4:  # checked last: malformed input is a parameter error at any n
+        raise CapacityError(f"exhaustive characterization supports n <= 4, got n={n}")
 
     universe = matching_universe(n, r)
-    problem = SearchProblem(universe, k, mode, matching_symmetry(n))
+    problem = SearchProblem(universe, k, mode, matching_symmetry_generators(n))
     result = max_kwise_family(problem)
 
     bound = matching_star_bound(n, r).value

@@ -68,7 +68,9 @@ def test_rejects_malformed_fields(args):
         IntervalFamily(*args)
 
 
-@pytest.mark.parametrize("starts", [["a"], [1.0], [True, 3]])
+@pytest.mark.parametrize("starts", [["a"], [1.0], [True, 3],
+                                    # caught before set() or sorted() sees them
+                                    [1, "a"], [[1]], [1, True], 1])
 def test_from_starts_rejects_non_int_starts(starts):
     with pytest.raises(ParameterError):
         IntervalFamily.from_starts(6, 2, starts)

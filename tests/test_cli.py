@@ -192,6 +192,10 @@ MALFORMED = [
     (["enumerate", "--n", "20", "--r", "13"], 3, "capacity"),
     (["circle", "--n", "3", "--r", "3", "--k", "2", "--action", "saturate"],
      2, "parameter"),
+    # malformed beats too big: verify checks its arguments before n <= 4
+    (["verify", "--n", "5", "--r", "20", "--k", "3"], 2, "parameter"),
+    (["verify", "--n", "5", "--r", "5", "--k", "1"], 2, "parameter"),
+    (["verify", "--n", "5", "--r", "9", "--k", "3"], 2, "parameter"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known

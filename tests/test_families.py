@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,7 @@ from matchwise import (BoundValue, CapacityError, MatchingGraph, ParameterError,
                        is_k_wise_intersecting, kwise_witness, mask_of,
                        matching_star_bound, matching_universe, vertices_of)
 
-from oracles import brute_family, kwise_ok, pascal_binomial
+from oracles import brute_family, first_kwise_witness, kwise_ok, pascal_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,23 @@ def test_k_must_be_at_least_two():
         kwise_witness(UniformFamily(4, 2, ()), 1)
 
 
+def test_kwise_witness_is_the_first_in_scan_order():
+    # the scan skips a state that already failed, so its answer must be
+    # the plain walk's, tuple for tuple
+    rng = random.Random(0)
+    for _ in range(400):
+        m = rng.randint(3, 10)
+        r = rng.randint(1, m - 1)
+        pool = complete_uniform_family(m, r).sets
+        if rng.random() < 0.5:  # a star and a few others: long scans
+            pool = [s for s in pool if s & 1] + rng.sample(pool, min(2, len(pool)))
+        pool = sorted(set(pool))
+        fam = UniformFamily.from_masks(
+            m, r, rng.sample(pool, min(len(pool), rng.randint(0, 24))))
+        k = rng.randint(2, 6)
+        assert kwise_witness(fam, k) == first_kwise_witness(fam.sets, k), (fam, k)
+
+
 @given(st.data())
 def test_kwise_matches_definition_and_is_monotone(data):
     n = data.draw(st.integers(min_value=2, max_value=3))
@@ -303,6 +321,13 @@ def test_family_validation():
 def test_family_rejects_malformed_fields(args):
     with pytest.raises(ParameterError):
         UniformFamily(*args)
+
+
+@pytest.mark.parametrize("masks", [[1, "a"], [[1]], [1, True], [1.0], 1])
+def test_from_masks_rejects_non_int_masks(masks):
+    # checked before set() merges True into 1 or sorted() mixes types
+    with pytest.raises(ParameterError):
+        UniformFamily.from_masks(6, 1, masks)
 
 
 def test_from_masks_dedupes_and_sorts():

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,10 +9,11 @@ from matchwise import (CapacityError, ParameterError, SearchProblem,
                        UniformFamily, apply_permutation, canonical_form,
                        complete_symmetry, complete_uniform_family,
                        is_k_wise_intersecting, mask_of, matching_star_bound,
-                       matching_symmetry, matching_universe, max_kwise_family,
+                       matching_symmetry, matching_symmetry_generators,
+                       matching_universe, max_kwise_family,
                        verify_extremal_characterization)
 
-from oracles import brute_max_kwise
+from oracles import brute_max_kwise, brute_max_kwise_masks
 
 
 def as_frozen(fam: UniformFamily) -> frozenset[frozenset[int]]:
@@ -118,6 +122,23 @@ def test_solver_agrees_with_oracle_on_random_universes(data):
     k = data.draw(st.integers(min_value=2, max_value=4))
     result = max_kwise_family(SearchProblem(universe, k))
     oracle_check(universe, k, result)
+
+
+def _draw(r: int, seed: str, size: int) -> UniformFamily:
+    """``size`` members of the n=5 union family, drawn as the benchmark does."""
+    pool = matching_universe(5, r).sets
+    return UniformFamily.from_masks(10, r, random.Random(seed).sample(pool, size))
+
+
+@pytest.mark.parametrize("r, k", [(6, 3), (7, 4)])
+def test_solver_agrees_with_oracle_on_n5_draws(r, k):
+    # deep candidate filtering: many members share one j-wise intersection
+    for i in range(3):
+        universe = _draw(r, f"oracle:{r}:{i}", 16)
+        result = max_kwise_family(SearchProblem(universe, k))
+        max_size, hits = brute_max_kwise_masks(universe.sets, k)
+        assert result.max_size == max_size
+        assert [w.sets for w in result.witnesses] == sorted(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +271,11 @@ NODE_COUNTS = [
         SearchProblem(matching_universe(5, 5), 3, "max_size_only",
                       tuple(matching_symmetry(5)[i] for i in (768, 1056, 1)))),
         1140, id="generators-1140"),
+    # the first 34-member panel draws of the n=5 sub-universe benchmark
+    pytest.param(lambda: max_kwise_family(
+        SearchProblem(_draw(6, "panel:6:0", 34), 3)), 11212, id="panel-r6-11212"),
+    pytest.param(lambda: max_kwise_family(
+        SearchProblem(_draw(7, "panel:7:0", 34), 4)), 4445, id="panel-r7-4445"),
 ]
 
 
@@ -304,6 +330,9 @@ def test_characterization_json_fields():
 def test_characterization_preconditions():
     with pytest.raises(CapacityError):
         verify_extremal_characterization(5, 5, 3)
+    for n, r, k in ((5, 20, 3), (5, 5, 1), (5, 9, 3)):  # malformed at any n
+        with pytest.raises(ParameterError):
+            verify_extremal_characterization(n, r, k)
     with pytest.raises(ParameterError):
         verify_extremal_characterization(3, 2, 3)
     with pytest.raises(ParameterError):
@@ -362,16 +391,29 @@ def test_symmetry_differential_across_small_universes():
         assert plain.star_centers == sym.star_centers
 
 
-def _matching_generators(n):
-    """An edge transposition, the edge n-cycle and one flip of M_n."""
-    def on_edges(f):  # edge e becomes edge f(e), each side kept
-        return tuple(f(v) if v <= n else f(v - n) + n
-                     for v in range(1, 2 * n + 1))
-    m = min(n, 2)
-    swap = on_edges(lambda e: {1: m, m: 1}.get(e, e))
-    cycle = on_edges(lambda e: e % n + 1)
-    flip = tuple({1: n + 1, n + 1: 1}.get(v, v) for v in range(1, 2 * n + 1))
-    return swap, cycle, flip
+def test_matching_symmetry_generators_generate_the_group():
+    for n in range(1, 6):
+        gens = matching_symmetry_generators(n)
+        identity = tuple(range(1, 2 * n + 1))
+        assert identity not in gens and len(set(gens)) == len(gens)
+        closure = search._orbit(identity, gens,
+                                lambda p, g: tuple(g[v - 1] for v in p))
+        assert closure == set(matching_symmetry(n)), n
+
+
+def test_verify_reports_do_not_depend_on_the_generating_set(monkeypatch):
+    # verify passes three generators; the listed group gives the same JSON
+    def report_json(n, r, k, mode):
+        obj = verify_extremal_characterization(n, r, k, mode).to_json_obj()
+        obj["elapsed_ms"] = None
+        return json.dumps(obj)
+
+    cases = [(n, r, k, mode) for n in range(1, 5) for r in range(n, 2 * n)
+             for k in _admissible_ks(n, r, 2) for mode in search.MODES]
+    got = [report_json(*case) for case in cases]
+    monkeypatch.setattr(search, "matching_symmetry_generators",
+                        search.matching_symmetry)
+    assert got == [report_json(*case) for case in cases]
 
 
 def test_symmetry_generating_sets_agree_across_small_universes():
@@ -381,7 +423,7 @@ def test_symmetry_generating_sets_agree_across_small_universes():
         group = groups.setdefault(n, matching_symmetry(n))
         universe = matching_universe(n, r)
         full = max_kwise_family(SearchProblem(universe, k, symmetry=group))
-        for symmetry in (_matching_generators(n),
+        for symmetry in (matching_symmetry_generators(n),
                          tuple(reversed(group)) + group):
             got = max_kwise_family(SearchProblem(universe, k, symmetry=symmetry))
             assert [w.sets for w in got.witnesses] == \
