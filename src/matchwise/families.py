@@ -37,8 +37,19 @@ _MAX_MEMBERS = 1 << 20
 # bitmask vertex sets
 # ---------------------------------------------------------------------------
 
+def require_int(name: str, value: object) -> None:
+    """Raise ``ParameterError`` unless ``value`` is an ``int`` (not a bool)."""
+    if type(value) is not int:  # bool is an int subclass
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Pack vertex labels (1-based) into a bitmask."""
+    try:
+        vertices = iter(vertices)
+    except TypeError:
+        raise ParameterError(
+            f"a vertex set is an iterable of labels, got {vertices!r}") from None
     m = 0
     for v in vertices:
         if type(v) is not int:  # bool is an int subclass, float shifts fail
@@ -68,6 +79,7 @@ class MatchingGraph:
     n: int
 
     def __post_init__(self) -> None:
+        require_int("n", self.n)
         if self.n < 1:
             raise ParameterError(f"need at least one edge, got n={self.n}")
         if 2 * self.n > 64:
@@ -166,6 +178,11 @@ class UniformFamily:
     @classmethod
     def from_vertex_sets(cls, universe_size: int, r: int,
                          sets: Iterable[Iterable[int]]) -> "UniformFamily":
+        try:
+            sets = iter(sets)
+        except TypeError:
+            raise ParameterError(
+                f"sets must be an iterable of vertex sets, got {sets!r}") from None
         return cls.from_masks(universe_size, r, [mask_of(s) for s in sets])
 
     def __len__(self) -> int:
@@ -197,6 +214,8 @@ class UniformFamily:
 
     @classmethod
     def from_text(cls, universe_size: int, r: int, text: str) -> "UniformFamily":
+        if not isinstance(text, str):
+            raise ParameterError(f"family text must be a str, got {text!r}")
         masks = []
         for line in text.splitlines():
             line = line.strip()
@@ -340,6 +359,7 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     Members are scanned by ascending popcount with a running
     intersection, so violations terminate early.
     """
+    require_int("k", k)
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
     members = sorted(fam.sets, key=lambda s: (s.bit_count(), s))

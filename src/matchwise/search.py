@@ -3,7 +3,7 @@
 The solver walks an include/exclude tree over the universe in
 ascending bitmask order (include explored first), so the first member
 of any family is its minimum and every subfamily is visited at most
-once.  Two ingredients keep the tree small:
+once.  Three ingredients keep the tree small:
 
 * an incremental k-wise feasibility filter: the distinct intersections
   of the j-subsets of the current family are kept as one set per j <
@@ -13,13 +13,23 @@ once.  Two ingredients keep the tree small:
   that were not there before, and removing it takes exactly those out,
 * best-found pruning seeded with the largest star in the universe
   (stars are k-wise intersecting for every k, so this lower bound is
-  always achievable).
+  always achievable),
+* a conflict-matching upper bound: ``comp[a]`` holds the members b
+  such that a, b and every (k-2)-wise intersection of the chosen
+  family share a vertex (for k = 2, the members meeting a).  Two
+  candidates outside each other's ``comp`` cannot both join, since
+  with k-2 chosen members they are k members with an empty
+  intersection, so each of a greedy set of disjoint such pairs lowers
+  the room (chosen plus candidates) by one.  A member's new (k-2)-wise
+  intersections narrow the candidates' rows, and removing it restores
+  them.
 
-Both read one incidence table built per search: ``through[v]`` is the
+All read one incidence table built per search: ``through[v]`` is the
 bitset of member indices containing vertex v+1.  The members meeting a
 set are the OR of its vertices' rows, kept per set for the whole
 search, the largest star is the largest row, and a witness is a star
-exactly when its index bitset is a row.
+exactly when its index bitset is a row.  A result counts the branches
+pruned by the size room alone and by the conflict matching.
 
 When vertex relabellings of the universe are supplied, the search
 uses the group they generate without listing it.  Each permutation kept
@@ -42,7 +52,7 @@ from itertools import permutations
 
 from .errors import CapacityError, IntegrityError, ParameterError
 from .families import (MatchingGraph, UniformFamily, is_k_wise_intersecting,
-                       matching_star_bound, matching_universe)
+                       matching_star_bound, matching_universe, require_int)
 from .schema import SCHEMA_VERSION
 
 MODES = ("max_size_only", "one_witness", "all_maximum")
@@ -154,6 +164,10 @@ class SearchResult:
     star_centers: tuple[int, ...]
     explored_nodes: int
     elapsed: float
+    # branches cut because the chosen members plus every candidate are
+    # too few, and because the conflict matching lowers that count too far
+    size_prunes: int
+    conflict_prunes: int
 
 
 class _Meets(dict):
@@ -175,18 +189,20 @@ class _Meets(dict):
 
 
 def _run_root(masks: tuple[int, ...], meets: _Meets, k: int,
-              collect: bool, best: int, i0: int
-              ) -> tuple[list[tuple[int, tuple[int, ...]]], int, int]:
+              collect: bool, best: int, i0: int, comp: list[int]
+              ) -> tuple[list[tuple[int, tuple[int, ...]]], int, int, int, int]:
     """Explore every family whose minimal member is masks[i0].
 
     ``best`` is the largest family size known so far.  Without
     ``collect`` only a family larger than ``best`` matters, so branches
-    that can at most tie it are pruned too.  Returns the recorded
-    families as (size, member indices) pairs, the node count and the
-    updated best size.
+    that can at most tie it are pruned too.  ``comp`` is the conflict
+    table for the empty family (changed during the call, restored on
+    return).  Returns the recorded families as (size, member indices)
+    pairs, the node count, the updated best size and the prunes by the
+    size room and by the conflict matching.
     """
-    km1 = k - 1
-    nodes = 0
+    km1, km2 = k - 1, k - 2
+    nodes = size_prunes = conflict_prunes = 0
     records: list[tuple[int, tuple[int, ...]]] = []
     chosen: list[int] = []
     # levels[j] = the distinct intersections of the j-subsets of the chosen
@@ -202,7 +218,7 @@ def _run_root(masks: tuple[int, ...], meets: _Meets, k: int,
             records.append((depth, tuple(chosen)))
 
     def include(i: int, cand: int, depth: int) -> None:
-        """Add member i, filter candidates, recurse, undo."""
+        """Add member i, filter candidates and conflicts, recurse, undo."""
         mi = masks[i]
         bind = min(km1, depth + 1)
         added: list = [None] * (bind + 1)
@@ -213,26 +229,55 @@ def _run_root(masks: tuple[int, ...], meets: _Meets, k: int,
             if not cand:
                 break
             cand &= meets[x]
+        saved = None  # narrow the conflict rows by new (k-2)-wise ones
+        if 0 < km2 <= bind and added[km2] and cand:
+            saved = comp[:]
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = low.bit_length() - 1
+                ma, ca = masks[a], comp[a]
+                for x in added[km2]:
+                    ca &= meets[ma & x]
+                comp[a] = ca
         chosen.append(i)
         extend(cand, depth + 1)
         chosen.pop()
+        if saved is not None:
+            comp[:] = saved
         for j in range(bind, 0, -1):
             levels[j] -= added[j]
 
     def extend(cand: int, depth: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, size_prunes, conflict_prunes
         nodes += 1
         record(depth)
+        need = best + (not collect)  # the room a useful branch must have
         while cand:
             room = depth + cand.bit_count()
-            if room < best or (not collect and room == best):
+            if room < need:
+                size_prunes += 1
+                return
+            # at most one member of each pair in conflict can join
+            rest = cand
+            while rest and room >= need:
+                low = rest & -rest
+                rest ^= low
+                clash = rest & ~comp[low.bit_length() - 1]
+                if clash:
+                    rest ^= clash & -clash
+                    room -= 1
+            if room < need:
+                conflict_prunes += 1
                 return
             low = cand & -cand
             cand ^= low
             include(low.bit_length() - 1, cand, depth)
+            need = best + (not collect)
 
     include(i0, (1 << len(masks)) - (2 << i0), 0)  # the members above i0
-    return records, nodes, best
+    return records, nodes, best, size_prunes, conflict_prunes
 
 
 def _orbit(x, gens, act) -> set:
@@ -303,6 +348,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     its orbits from the generators and never lists its elements.
     """
     universe, k, mode = problem.universe, problem.k, problem.mode
+    require_int("k", k)
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
     if mode not in MODES:
@@ -325,17 +371,27 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     rows = ([] if problem.symmetry is None else
             _generator_rows(problem.symmetry, masks, universe.universe_size))
 
+    # comp[a] = the members b such that a, b and every (k-2)-wise
+    # intersection of the chosen family share a vertex; for k = 2 that is
+    # every member meeting a, for k > 2 the empty family leaves all
+    comp = ([meets[m] for m in masks] if k == 2 else
+            [(1 << len(masks)) - 1] * len(masks))
+
     records: list[tuple[int, tuple[int, ...]]] = []
     nodes = 1  # the empty-family root
+    size_prunes = conflict_prunes = 0
     if collect and best == 0:
         records.append((0, ()))
     covered: set[tuple[int, ...]] = set()
     for i0 in range(len(masks)):
         if (i0,) not in covered:  # ascending, so i0 is least in its orbit
             covered |= _orbit((i0,), rows, _image)
-            recs, nd, best = _run_root(masks, meets, k, collect, best, i0)
+            recs, nd, best, sp, cp = _run_root(masks, meets, k, collect,
+                                               best, i0, comp)
             records.extend(recs)
             nodes += nd
+            size_prunes += sp
+            conflict_prunes += cp
 
     max_size = best
     witnesses: tuple[UniformFamily, ...] = ()
@@ -364,7 +420,8 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
                                  if t in bitsets)
 
     return SearchResult(max_size, witnesses, all_are_stars, star_centers,
-                        nodes, time.perf_counter() - start_time)
+                        nodes, time.perf_counter() - start_time,
+                        size_prunes, conflict_prunes)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +499,8 @@ def verify_extremal_characterization(n: int, r: int, k: int,
     without being asserted.  The search reduces by M_n's symmetry
     group through its three generators.
     """
+    for name, value in (("n", n), ("r", r), ("k", k)):
+        require_int(name, value)
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
     if not n <= r <= 2 * n - 1:

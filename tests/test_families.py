@@ -350,6 +350,8 @@ def test_from_text_rejects_malformed_labels():
             UniformFamily.from_text(4, 2, text)
     with pytest.raises(ParameterError):
         UniformFamily.from_text(4, 2, "0,1")            # labels are 1-based
+    with pytest.raises(ParameterError):
+        UniformFamily.from_text(6, 2, 5)                # not text at all
 
 
 @pytest.mark.parametrize("text", [
@@ -372,6 +374,9 @@ def test_from_vertex_sets_rejects_non_integer_labels():
     for label in (2.0, True, "1"):
         with pytest.raises(ParameterError):
             UniformFamily.from_vertex_sets(4, 1, [[label]])
+    for sets in ([5], 5):                   # a label is not a set of labels
+        with pytest.raises(ParameterError):
+            UniformFamily.from_vertex_sets(6, 2, sets)
 
 
 def test_json_round_trip():

@@ -8,9 +8,10 @@ from matchwise import search
 from matchwise import (CapacityError, ParameterError, SearchProblem,
                        UniformFamily, apply_permutation, canonical_form,
                        complete_symmetry, complete_uniform_family,
-                       is_k_wise_intersecting, mask_of, matching_star_bound,
-                       matching_symmetry, matching_symmetry_generators,
-                       matching_universe, max_kwise_family,
+                       is_k_wise_intersecting, kwise_witness, mask_of,
+                       matching_star_bound, matching_symmetry,
+                       matching_symmetry_generators, matching_universe,
+                       max_kwise_family,
                        verify_extremal_characterization)
 
 from oracles import brute_max_kwise, brute_max_kwise_masks
@@ -141,6 +142,57 @@ def test_solver_agrees_with_oracle_on_n5_draws(r, k):
         assert [w.sets for w in result.witnesses] == sorted(hits)
 
 
+def _admissible_ks(n: int, r: int, count: int) -> list[int]:
+    """The ``count`` smallest k >= 2 with k*r <= (k-1)*2n."""
+    ks, k = [], 2
+    while len(ks) < count:
+        if k * r <= (k - 1) * 2 * n:
+            ks.append(k)
+        k += 1
+    return ks
+
+
+def _dense_draws():
+    """Draws of 14-16 members of the n=4 union families (all 8 members at
+    r=7), where most pairs of members share a vertex and the conflict
+    matching prunes, at the three smallest admissible arities."""
+    for r in (5, 6, 7):
+        pool = matching_universe(4, r).sets
+        sizes = (14, 15, 16) if len(pool) > 16 else (len(pool),)
+        for k in _admissible_ks(4, r, 3):
+            for i, size in enumerate(sizes):
+                members = random.Random(f"dense:{r}:{k}:{i}").sample(pool, size)
+                yield pytest.param(UniformFamily.from_masks(8, r, members), k,
+                                   id=f"r{r}-k{k}-{size}")
+    for k in (2, 3):
+        yield pytest.param(complete_uniform_family(6, 3), k, id=f"complete-6-3-k{k}")
+
+
+@pytest.mark.parametrize("universe, k", _dense_draws())
+def test_conflict_bound_agrees_with_oracle(universe, k):
+    max_size, hits = brute_max_kwise_masks(universe.sets, k)
+    every = max_kwise_family(SearchProblem(universe, k))
+    assert every.max_size == max_size
+    assert [w.sets for w in every.witnesses] == sorted(hits)
+    one = max_kwise_family(SearchProblem(universe, k, "one_witness"))
+    assert [w.sets for w in one.witnesses] == [min(hits)]
+    assert max_kwise_family(
+        SearchProblem(universe, k, "max_size_only")).max_size == max_size
+
+
+def test_conflict_bound_fires_on_dense_draws():
+    fired = {param.id.split("-")[0] for param in _dense_draws()
+             if max_kwise_family(SearchProblem(*param.values)).conflict_prunes}
+    assert {"r5", "r6", "complete"} <= fired
+
+
+def test_prune_counts_by_reason():
+    result = max_kwise_family(SearchProblem(matching_universe(4, 5), 3))
+    assert result.conflict_prunes > 0 and result.size_prunes > 0
+    # a node is pruned for one reason at most, and the root never is
+    assert result.size_prunes + result.conflict_prunes < result.explored_nodes
+
+
 # ---------------------------------------------------------------------------
 # modes, symmetry, determinism
 # ---------------------------------------------------------------------------
@@ -227,7 +279,32 @@ def test_symmetry_generates_its_group():
     got = max_kwise_family(
         SearchProblem(universe, 3, symmetry=(G5[768], G5[1056], G5[1])))
     assert [w.sets for w in got.witnesses] == [w.sets for w in full.witnesses]
-    assert got.explored_nodes == full.explored_nodes == 1547
+    assert got.explored_nodes == full.explored_nodes == 94
+
+
+NON_INT_ARGUMENTS = [
+    (verify_extremal_characterization, (3.0, 3, 3)),
+    (verify_extremal_characterization, (3, 3.0, 3)),
+    (verify_extremal_characterization, (3, 3, 3.0)),
+    (verify_extremal_characterization, (True, 1, 2)),
+    (verify_extremal_characterization, (3, 3, True)),
+    (lambda k: max_kwise_family(SearchProblem(matching_universe(3, 3), k)), (2.5,)),
+    (lambda k: max_kwise_family(SearchProblem(matching_universe(3, 3), k)), (True,)),
+    (lambda k: kwise_witness(matching_universe(3, 3), k), (2.0,)),
+    (lambda k: kwise_witness(matching_universe(3, 3), k), (True,)),
+    (matching_symmetry, (3.0,)),
+    (matching_symmetry, (True,)),
+    (matching_symmetry_generators, (3.0,)),
+    (matching_symmetry_generators, ("3",)),
+    (lambda n: canonical_form(matching_universe(3, 3), n), (3.0,)),
+    (lambda n: canonical_form(UniformFamily(2, 1, (1,)), n), (True,)),
+]
+
+
+@pytest.mark.parametrize("call, args", NON_INT_ARGUMENTS)
+def test_search_entry_points_reject_non_int_arguments(call, args):
+    with pytest.raises(ParameterError, match="must be an int"):
+        call(*args)
 
 
 MALFORMED_SYMMETRY = [
@@ -251,31 +328,37 @@ def test_symmetry_elements_must_be_permutations(perm):
 
 
 # explored_nodes is deterministic, so any change to it is a change to the
-# search tree; a new pruning rule should update these on purpose
+# search tree; a new pruning rule should update these on purpose.  An id
+# that names a count is the count before the conflict-matching bound, kept
+# so that the test ids stay stable.
 NODE_COUNTS = [
-    (lambda: verify_extremal_characterization(4, 5, 3), 7635),
-    (lambda: verify_extremal_characterization(4, 6, 4), 4498),
+    pytest.param(lambda: verify_extremal_characterization(4, 5, 3), 132,
+                 id="<lambda>-7635"),
+    pytest.param(lambda: verify_extremal_characterization(4, 6, 4), 431,
+                 id="<lambda>-4498"),
     (lambda: verify_extremal_characterization(4, 4, 2), 577),
-    (lambda: max_kwise_family(SearchProblem(matching_universe(4, 5), 3)),
-     14826),
-    (lambda: max_kwise_family(
-        SearchProblem(matching_universe(4, 5), 3, "max_size_only")), 9198),
-    (lambda: max_kwise_family(
+    pytest.param(lambda: max_kwise_family(
+        SearchProblem(matching_universe(4, 5), 3)), 266, id="<lambda>-14826"),
+    pytest.param(lambda: max_kwise_family(
+        SearchProblem(matching_universe(4, 5), 3, "max_size_only")), 75,
+        id="<lambda>-9198"),
+    pytest.param(lambda: max_kwise_family(
         SearchProblem(matching_universe(5, 5), 3, "max_size_only",
-                      matching_symmetry(5))), 1140),
+                      matching_symmetry(5))), 2, id="<lambda>-1140"),
+    # complementary pairs match perfectly and leave room for exactly the
+    # maximum, so the conflict matching cannot cut this all-maximum search
     (lambda: max_kwise_family(
         SearchProblem(complete_uniform_family(6, 3), 2)), 6153),
-    # an edge swap, an edge 5-cycle and one flip generate the same group;
-    # the explicit id keeps the other 1140 row's id
+    # an edge swap, an edge 5-cycle and one flip generate the same group
     pytest.param(lambda: max_kwise_family(
         SearchProblem(matching_universe(5, 5), 3, "max_size_only",
                       tuple(matching_symmetry(5)[i] for i in (768, 1056, 1)))),
-        1140, id="generators-1140"),
+        2, id="generators-1140"),
     # the first 34-member panel draws of the n=5 sub-universe benchmark
     pytest.param(lambda: max_kwise_family(
-        SearchProblem(_draw(6, "panel:6:0", 34), 3)), 11212, id="panel-r6-11212"),
+        SearchProblem(_draw(6, "panel:6:0", 34), 3)), 138, id="panel-r6-11212"),
     pytest.param(lambda: max_kwise_family(
-        SearchProblem(_draw(7, "panel:7:0", 34), 4)), 4445, id="panel-r7-4445"),
+        SearchProblem(_draw(7, "panel:7:0", 34), 4)), 370, id="panel-r7-4445"),
 ]
 
 
@@ -352,16 +435,6 @@ def test_characterization_additional_regimes():
     assert report.max_size == 7 and report.all_are_stars and report.ok
     report = verify_extremal_characterization(3, 5, 6)
     assert report.max_size == 5 and report.witness_count == 6 and report.ok
-
-
-def _admissible_ks(n: int, r: int, count: int) -> list[int]:
-    """The ``count`` smallest k >= 2 with k*r <= (k-1)*2n."""
-    ks, k = [], 2
-    while len(ks) < count:
-        if k * r <= (k - 1) * 2 * n:
-            ks.append(k)
-        k += 1
-    return ks
 
 
 def _symmetry_cases():
