@@ -11,8 +11,8 @@ parameters other maximum families appear.
 import json
 
 from matchwise import (SearchProblem, canonical_form, complete_uniform_family,
-                       matching_symmetry, matching_universe, max_kwise_family,
-                       verify_extremal_characterization)
+                       matching_symmetry_generators, matching_universe,
+                       max_kwise_family, verify_extremal_characterization)
 
 # Maximum 3-wise intersecting subfamilies of the r=3 universe over M_3:
 # the six stars, found against a star-seeded bound.
@@ -21,9 +21,11 @@ result = max_kwise_family(SearchProblem(universe, 3))
 print(f"max size {result.max_size}; {len(result.witnesses)} maximum families; "
       f"all stars: {result.all_are_stars}; centers {result.star_centers}")
 
-# The same search with the 2^n n! vertex-relabelling group: only orbit
+# The same search with M_3's vertex relabellings, passed as three
+# generators of the 2^n n! group, which is never listed: only orbit
 # representatives are branched at the root, witnesses are expanded back.
-sym = max_kwise_family(SearchProblem(universe, 3, symmetry=matching_symmetry(3)))
+sym = max_kwise_family(SearchProblem(universe, 3,
+                                     symmetry=matching_symmetry_generators(3)))
 print("symmetry-reduced run agrees:",
       [w.sets for w in sym.witnesses] == [w.sets for w in result.witnesses])
 

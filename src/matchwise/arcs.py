@@ -36,6 +36,14 @@ from typing import Mapping
 from .errors import IntegrityError, ParameterError
 
 
+def _require_arity(k: int) -> None:
+    """Raise ``ParameterError`` unless k is an int (not a bool) of at least 2."""
+    if type(k) is not int:  # bool is an int subclass
+        raise ParameterError(f"k must be an int, got {k!r}")
+    if k < 2:
+        raise ParameterError(f"k must be at least 2, got {k}")
+
+
 def wrap(p: int, size: int) -> int:
     """Map an integer onto the circle positions 1..size."""
     return (p - 1) % size + 1
@@ -161,8 +169,7 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
     under the input labelling; any fixed choice works, a deterministic
     one keeps reports reproducible.
     """
-    if k < 2:
-        raise ParameterError(f"k must be at least 2, got {k}")
+    _require_arity(k)
     if not fam.starts:
         raise ParameterError("the assignment procedure needs a nonempty family")
     n, r = fam.size, fam.length
@@ -228,8 +235,7 @@ def common_index(fam: IntervalFamily, k: int) -> int:
     which signals that the preconditions did not actually hold.
     """
     n, r = fam.size, fam.length
-    if k < 2:
-        raise ParameterError(f"k must be at least 2, got {k}")
+    _require_arity(k)
     if k * r >= (k - 1) * n:
         raise ParameterError(
             f"common-index extraction needs k*r < (k-1)*N strictly, "

@@ -295,6 +295,7 @@ def enumerate_family(n: int, r: int, kind: FamilyKind) -> UniformFamily:
     graph = MatchingGraph(n)
     if kind not in _KINDS:
         raise ParameterError(f"unknown family kind {kind!r}")
+    require_int("r", r)
     if not 1 <= r <= 2 * n:
         raise ParameterError(f"cardinality r={r} outside 1..{2 * n}")
 
@@ -334,6 +335,8 @@ def matching_universe(n: int, r: int) -> UniformFamily:
 
 def complete_uniform_family(m: int, r: int) -> UniformFamily:
     """All r-subsets of the ground set [m]."""
+    require_int("m", m)
+    require_int("r", r)
     if m < 1:
         raise ParameterError(f"ground set size must be at least 1, got {m}")
     if m > 64:
@@ -402,6 +405,8 @@ def is_k_wise_intersecting(fam: UniformFamily, k: int) -> bool:
 
 def binomial(a: int, b: int) -> int:
     """Exact binomial coefficient with C(a, b) = 0 when b > a."""
+    require_int("a", a)
+    require_int("b", b)
     if a < 0 or b < 0:
         raise ParameterError(f"binomial wants nonnegative arguments, got ({a}, {b})")
     return math.comb(a, b)
@@ -424,6 +429,7 @@ def matching_star_bound(n: int, r: int) -> BoundValue:
     2^(2n-r) * C(n-1, 2n-r) + 2^(2n-r-1) * C(n-1, 2n-r-1).
     """
     MatchingGraph(n)
+    require_int("r", r)
     if not 1 <= r <= 2 * n:
         raise ParameterError(f"cardinality r={r} outside 1..{2 * n}")
     if r <= n:
@@ -440,6 +446,8 @@ def complete_star_bound(m: int, r: int) -> int:
     Equals the maximum size of a k-wise intersecting family of
     r-subsets of [m] whenever k*r <= (k-1)*m.
     """
+    require_int("m", m)
+    require_int("r", r)
     if m < 1:
         raise ParameterError(f"ground set must be nonempty, got m={m}")
     if not 1 <= r <= m:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .arcs import IntervalFamily, assign_indices, common_index
 from .errors import IntegrityError, ParameterError
-from .families import UniformFamily, is_k_wise_intersecting
+from .families import UniformFamily, is_k_wise_intersecting, require_int
 from .schema import SCHEMA_VERSION
 
 TARGETS = ("assignment", "common-index")
@@ -186,6 +186,7 @@ def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
 
 
 def run_fuzz(target: str, trials: int, seed: int = 0) -> FuzzSummary:
+    require_int("trials", trials)
     if trials < 1:
         raise ParameterError(f"trial count must be positive, got {trials}")
     if target == "assignment":

@@ -24,7 +24,7 @@ from itertools import permutations
 
 from .arcs import IntervalFamily, common_index, wrap
 from .errors import CapacityError, IntegrityError, ParameterError
-from .families import MatchingGraph, UniformFamily
+from .families import MatchingGraph, UniformFamily, require_int
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,7 @@ def orders_containing_count(n: int, r: int) -> int:
     appears as a window: r! (n-r)! 2^(n-r) for r <= n, else
     (2n-r)! (r-n)! 2^(r-n)."""
     MatchingGraph(n)
+    require_int("r", r)
     if not 1 <= r < 2 * n:
         raise ParameterError(f"need 1 <= r < 2n, got r={r}, n={n}")
     if r <= n:
@@ -341,6 +342,7 @@ def saturation(order: GoodCyclicOrder, fam: UniformFamily,
     vertex) shared by all of them.  A count above r is impossible for
     a k-wise intersecting family, so it raises IntegrityError.
     """
+    require_int("k", k)  # before the cache, which takes 3.0 for 3
     r = fam.r
     member_set = _saturation_members(order.n, fam, k)
     starts = [start for start, mask in intervals(order, r) if mask in member_set]

@@ -34,7 +34,7 @@ pruned by the size room alone and by the conflict matching.
 When vertex relabellings of the universe are supplied, the search
 uses the group they generate without listing it.  Each permutation kept
 as a generator gets one ``bytes`` row mapping each member's index to
-the index of its image (a universe has at most 64 members, so an index
+the index of its image (a universe has at most 256 members, so an index
 fits in a byte), and one breadth-first search, :func:`_orbit`, reads
 any orbit from those rows.  Only orbit minima are tried as the minimal
 member, and in witness-collecting modes each found witness is expanded
@@ -57,8 +57,12 @@ from .schema import SCHEMA_VERSION
 
 MODES = ("max_size_only", "one_witness", "all_maximum")
 
-_ALL_MAXIMUM_CAP = 40
-_GENERAL_CAP = 64
+# the most universe members a search takes: a member index is one byte
+# of a generator row
+_MEMBER_CAP = 256
+# the largest n whose group is listed or whose canonical forms are read;
+# M_6's group has 46,080 elements
+_LISTED_MAX_N = 6
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +79,21 @@ def apply_permutation(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def _require_listable(n: int) -> None:
+    """Raise ``CapacityError`` when n is above the listing limit."""
+    if n > _LISTED_MAX_N:
+        raise CapacityError(f"group listing and canonical forms support "
+                            f"n <= {_LISTED_MAX_N}, got n={n}")
+
+
 def matching_symmetry(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2^n * n! relabellings of V(M_n) preserving the edge set.
 
     Generated by permuting the n edges and flipping the two endpoints
-    of any edge.
+    of any edge.  Listed for n <= 6 only.
     """
     MatchingGraph(n)
+    _require_listable(n)
     perms = []
     for edge_perm in permutations(range(1, n + 1)):
         for flips in range(1 << n):
@@ -116,29 +128,47 @@ def matching_symmetry_generators(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def complete_symmetry(m: int) -> tuple[tuple[int, ...], ...]:
-    """The full symmetric group on the ground set [m]."""
-    if not 1 <= m <= 10:  # too big is a capacity limit, too small malformed
-        raise (CapacityError if m > 10 else ParameterError)(
-            f"symmetric group supported for 1 <= m <= 10, got {m}")
-    return tuple(permutations(range(1, m + 1)))
+    """Generators of the symmetric group on the ground set [m]: the swap
+    of 1 and 2 and the m-cycle i -> i+1, repeats dropped (one for m <= 2;
+    the identity alone for m = 1)."""
+    require_int("m", m)
+    if not 1 <= m <= 64:  # too big is a capacity limit, too small malformed
+        raise (CapacityError if m > 64 else ParameterError)(
+            f"symmetric group supported for 1 <= m <= 64, got {m}")
+    cycle = tuple(range(2, m + 1)) + (1,)
+    swap = (2, 1) + cycle[1:-1] if m > 1 else cycle
+    return tuple(dict.fromkeys((swap, cycle)))
+
+
+class _Images(dict):
+    """``images[x]`` is one permutation's image of mask x, computed once."""
+
+    def __init__(self, perm: tuple[int, ...]) -> None:
+        super().__init__()
+        self.perm = perm
+
+    def __missing__(self, x: int) -> int:
+        self[x] = out = apply_permutation(self.perm, x)
+        return out
 
 
 def canonical_form(fam: UniformFamily, n: int) -> UniformFamily:
     """Lexicographically least relabelling of an M_n family.
 
-    Minimizes the sorted mask tuple over all 2^n * n! edge-preserving
-    vertex relabellings; idempotent by construction.
+    Minimizes the sorted mask tuple over the family's orbit under the
+    2^n * n! edge-preserving vertex relabellings, read from
+    :func:`matching_symmetry_generators` by :func:`_orbit`, so the cost
+    follows the orbit, not the group; idempotent by construction.
+    Supported for n <= 6.
     """
     graph = MatchingGraph(n)
     if fam.universe_size != graph.vertex_count:
         raise ParameterError("family universe does not match M_n")
-    best: tuple[int, ...] | None = None
-    for perm in matching_symmetry(n):
-        img = tuple(sorted(apply_permutation(perm, m) for m in fam.sets))
-        if best is None or img < best:
-            best = img
-    assert best is not None
-    return UniformFamily(fam.universe_size, fam.r, best)
+    _require_listable(n)
+    images = [_Images(g) for g in matching_symmetry_generators(n)]
+    orbit = _orbit(fam.sets, images,
+                   lambda sets, image: tuple(sorted([image[m] for m in sets])))
+    return UniformFamily(fam.universe_size, fam.r, min(orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +371,8 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     Modes: "max_size_only" reports just the maximum cardinality;
     "all_maximum" additionally reports every maximum family
     (canonically ordered); "one_witness" reports the canonically least
-    maximum family.  Capacity: at most 40 universe members in
-    all-maximum modes, 64 otherwise.  Each ``symmetry`` element must
+    maximum family.  Capacity: at most 256 universe members in every
+    mode, so a member index fits in a byte.  Each ``symmetry`` element must
     permute the labels 1..universe_size and map the universe onto
     itself; the search uses the group the permutations generate, reads
     its orbits from the generators and never lists its elements.
@@ -355,11 +385,10 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
         raise ParameterError(f"unknown mode {mode!r}")
     if universe.r < 1:
         raise ParameterError("the search needs members of cardinality r >= 1")
-    collect = mode != "max_size_only"
-    cap = _ALL_MAXIMUM_CAP if collect else _GENERAL_CAP
-    if len(universe) > cap:
+    if len(universe) > _MEMBER_CAP:
         raise CapacityError(
-            f"universe has {len(universe)} members, mode {mode} supports {cap}")
+            f"universe has {len(universe)} members, the search supports {_MEMBER_CAP}")
+    collect = mode != "max_size_only"
 
     start_time = time.perf_counter()
     masks = universe.sets

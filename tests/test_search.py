@@ -1,18 +1,21 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchwise import search
-from matchwise import (CapacityError, ParameterError, SearchProblem,
-                       UniformFamily, apply_permutation, canonical_form,
-                       complete_symmetry, complete_uniform_family,
-                       is_k_wise_intersecting, kwise_witness, mask_of,
-                       matching_star_bound, matching_symmetry,
+from matchwise import (CapacityError, IntervalFamily, ParameterError,
+                       SearchProblem, UniformFamily, apply_permutation,
+                       assign_indices, binomial, canonical_form, common_index,
+                       complete_star_bound, complete_symmetry,
+                       complete_uniform_family, enumerate_family,
+                       identity_order, is_k_wise_intersecting, kwise_witness,
+                       mask_of, matching_star_bound, matching_symmetry,
                        matching_symmetry_generators, matching_universe,
-                       max_kwise_family,
-                       verify_extremal_characterization)
+                       max_kwise_family, orders_containing_count, run_fuzz,
+                       saturation, verify_extremal_characterization)
 
 from oracles import brute_max_kwise, brute_max_kwise_masks
 
@@ -67,6 +70,44 @@ def test_canonical_form_identifies_star_orbit():
     assert canonical_form(c5, 3) == c5          # idempotent
     empty = UniformFamily(6, 3, ())
     assert canonical_form(empty, 3) == empty
+
+
+def test_canonical_form_is_the_least_image_under_the_listed_group():
+    # the reference rule: the least sorted image over every group element
+    rng = random.Random(11)
+    trivial_stabilizers = 0
+    for n in range(1, 5):
+        group = matching_symmetry(n)
+        universe = matching_universe(n, n)
+        fams = [universe.star(1), universe.star(2 * n), UniformFamily(2 * n, n, ())]
+        fams += [UniformFamily.from_masks(2 * n, n, rng.sample(universe.sets, size))
+                 for size in (2, 3, 5) if size < len(universe)]
+        for fam in fams:
+            images = {tuple(sorted(apply_permutation(g, m) for m in fam.sets))
+                      for g in group}
+            trivial_stabilizers += len(images) == len(group)
+            got = canonical_form(fam, n)
+            assert got.sets == min(images), (n, fam.sets)
+            assert (got.universe_size, got.r) == (fam.universe_size, fam.r)
+    assert trivial_stabilizers > 0
+
+
+def test_complete_symmetry_generates_the_symmetric_group():
+    for m in range(1, 7):
+        identity = tuple(range(1, m + 1))
+        closure = search._orbit(identity, complete_symmetry(m),
+                                lambda p, g: tuple(g[v - 1] for v in p))
+        assert closure == set(permutations(identity)), m
+    assert complete_symmetry(1) == ((1,),)
+    assert complete_symmetry(2) == ((2, 1),)
+    assert complete_symmetry(4) == ((2, 1, 3, 4), (2, 3, 4, 1))
+
+
+def test_group_listing_capacity():
+    with pytest.raises(CapacityError):
+        matching_symmetry(7)
+    with pytest.raises(CapacityError):
+        canonical_form(matching_universe(7, 13), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +264,19 @@ def test_parameter_and_capacity_errors():
         max_kwise_family(SearchProblem(universe, 1))
     with pytest.raises(ParameterError):
         max_kwise_family(SearchProblem(universe, 3, "everything"))
-    big = complete_uniform_family(10, 4)        # 210 members
-    with pytest.raises(CapacityError):
-        max_kwise_family(SearchProblem(big, 2, "max_size_only"))
-    mid = complete_uniform_family(10, 2)        # 45 members: only all_maximum barred
-    with pytest.raises(CapacityError):
-        max_kwise_family(SearchProblem(mid, 2, "all_maximum"))
+    big = complete_uniform_family(12, 4)        # 495 members
+    for mode in search.MODES:
+        with pytest.raises(CapacityError):
+            max_kwise_family(SearchProblem(big, 2, mode))
+    mid = complete_uniform_family(10, 2)        # 45 members: every mode runs
+    every = max_kwise_family(SearchProblem(mid, 2, "all_maximum"))
+    assert every.max_size == 9 and every.all_are_stars
+    assert every.star_centers == tuple(range(1, 11))
+    assert [w.sets for w in every.witnesses] == \
+        sorted(mid.star(v).sets for v in range(1, 11))
     assert max_kwise_family(SearchProblem(mid, 2, "max_size_only")).max_size == 9
     with pytest.raises(CapacityError):
-        complete_symmetry(11)
+        complete_symmetry(65)
     with pytest.raises(ParameterError):
         complete_symmetry(0)
 
@@ -298,6 +343,22 @@ NON_INT_ARGUMENTS = [
     (matching_symmetry_generators, ("3",)),
     (lambda n: canonical_form(matching_universe(3, 3), n), (3.0,)),
     (lambda n: canonical_form(UniformFamily(2, 1, (1,)), n), (True,)),
+    (complete_symmetry, (3.0,)),
+    (complete_symmetry, (True,)),
+    # the layers below the search
+    (lambda k: assign_indices(IntervalFamily(6, 2, (1, 2)), k), (3.0,)),
+    (lambda k: assign_indices(IntervalFamily(6, 2, (1, 2)), k), ("3",)),
+    (lambda k: common_index(IntervalFamily(6, 2, (1, 2)), k), (3.0,)),
+    (lambda k: common_index(IntervalFamily(6, 2, (1, 2)), k), ("3",)),
+    (lambda k: saturation(identity_order(3), matching_universe(3, 3).star(1), k),
+     (3.0,)),
+    (lambda r: enumerate_family(3, r, "union"), (3.0,)),
+    (matching_star_bound, (3, 3.0)),
+    (complete_uniform_family, (4.0, 2)),
+    (complete_star_bound, (4.0, 2)),
+    (binomial, (4.0, 2)),
+    (orders_containing_count, (3, 3.0)),
+    (lambda trials: run_fuzz("assignment", trials), (3.0,)),
 ]
 
 
