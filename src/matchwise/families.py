@@ -359,16 +359,13 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     element; otherwise a k-tuple of member masks whose intersection is
     empty.  Because repeating a member only grows the intersection, it
     suffices to scan subsets of at most min(k, |fam|) distinct members.
-    Members are scanned by ascending popcount with a running
+    Members are scanned in ascending mask order with a running
     intersection, so violations terminate early.
     """
     require_int("k", k)
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
-    members = sorted(fam.sets, key=lambda s: (s.bit_count(), s))
-    depth_cap = min(k, len(members))
-    if depth_cap == 0:
-        return None
+    members = fam.sets
     chosen: list[int] = []
     # (intersection, members left) states whose subtree found nothing.  A
     # state seen again finds nothing either: if its members plus some E
@@ -391,7 +388,7 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
         return None
 
     full = (1 << fam.universe_size) - 1
-    return descend(0, full, depth_cap)
+    return descend(0, full, min(k, len(members)))
 
 
 def is_k_wise_intersecting(fam: UniformFamily, k: int) -> bool:

@@ -3,7 +3,9 @@
 The solver walks an include/exclude tree over the universe in
 ascending bitmask order (include explored first), so the first member
 of any family is its minimum and every subfamily is visited at most
-once.  Three ingredients keep the tree small:
+once.  Two closures of :func:`max_kwise_family` walk it, ``include``
+(add a member, recurse, undo) and ``extend`` (record, prune, branch),
+and share its counters.  Three ingredients keep the tree small:
 
 * an incremental k-wise feasibility filter: the distinct intersections
   of the j-subsets of the current family are kept as one set per j <
@@ -37,17 +39,19 @@ as a generator gets one ``bytes`` row mapping each member's index to
 the index of its image (a universe has at most 256 members, so an index
 fits in a byte), and one breadth-first search, :func:`_orbit`, reads
 any orbit from those rows.  Only orbit minima are tried as the minimal
-member, and in witness-collecting modes each found witness is expanded
-to its whole orbit, so the reported witness list is always the full
-one.  Without relabellings there are no rows and every orbit is a
-single point.  Results are deterministic for a given input; only the
-timings vary.
+member, and in all-maximum mode each found witness is expanded to its
+whole orbit, so the reported witness list is always the full one.
+Without relabellings there are no rows and every orbit is a single
+point.  Results are deterministic for a given input; only the timings
+vary.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 
 from .errors import CapacityError, IntegrityError, ParameterError
@@ -55,7 +59,7 @@ from .families import (MatchingGraph, UniformFamily, is_k_wise_intersecting,
                        matching_star_bound, matching_universe, require_int)
 from .schema import SCHEMA_VERSION
 
-MODES = ("max_size_only", "one_witness", "all_maximum")
+MODES = ("max_size_only", "all_maximum")
 
 # the most universe members a search takes: a member index is one byte
 # of a generator row
@@ -140,16 +144,26 @@ def complete_symmetry(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(dict.fromkeys((swap, cycle)))
 
 
-class _Images(dict):
-    """``images[x]`` is one permutation's image of mask x, computed once."""
+class _Memo(dict):
+    """``memo[x]`` is ``fn(x)``, computed once per x."""
 
-    def __init__(self, perm: tuple[int, ...]) -> None:
+    def __init__(self, fn: Callable[[int], int]) -> None:
         super().__init__()
-        self.perm = perm
+        self.fn = fn
 
     def __missing__(self, x: int) -> int:
-        self[x] = out = apply_permutation(self.perm, x)
+        self[x] = out = self.fn(x)
         return out
+
+
+def _or_rows(rows: list[int], x: int) -> int:
+    """The OR of the rows indexed by x's bits."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= rows[low.bit_length() - 1]
+        x ^= low
+    return out
 
 
 def canonical_form(fam: UniformFamily, n: int) -> UniformFamily:
@@ -165,7 +179,8 @@ def canonical_form(fam: UniformFamily, n: int) -> UniformFamily:
     if fam.universe_size != graph.vertex_count:
         raise ParameterError("family universe does not match M_n")
     _require_listable(n)
-    images = [_Images(g) for g in matching_symmetry_generators(n)]
+    images = [_Memo(partial(apply_permutation, g))
+              for g in matching_symmetry_generators(n)]
     orbit = _orbit(fam.sets, images,
                    lambda sets, image: tuple(sorted([image[m] for m in sets])))
     return UniformFamily(fam.universe_size, fam.r, min(orbit))
@@ -200,52 +215,118 @@ class SearchResult:
     conflict_prunes: int
 
 
-class _Meets(dict):
-    """``meets[x]`` is the bitset of the members that meet vertex set x:
-    the OR of x's rows of ``through``, computed once per x and search."""
+def _orbit(x, gens, act, limit: float = float("inf")) -> set:
+    """Every image of ``x`` under the group ``gens`` generate, where
+    ``act(y, g)`` is y's image under one generator: a breadth-first
+    search, since a finite group's elements are products of generators.
+    The search stops once it holds ``limit`` images."""
+    seen, queue = {x}, [x]
+    for y in queue:  # the loop reaches what is appended to the queue
+        for g in gens:
+            z = act(y, g)
+            if z not in seen:
+                seen.add(z)
+                if len(seen) >= limit:
+                    return seen
+                queue.append(z)
+    return seen
 
-    def __init__(self, through: list[int]) -> None:
-        super().__init__()
-        self.through = through
 
-    def __missing__(self, x: int) -> int:
-        out, rest = 0, x
-        while rest:
-            low = rest & -rest
-            out |= self.through[low.bit_length() - 1]
-            rest ^= low
-        self[x] = out
-        return out
+def _image(fam: tuple[int, ...], row: bytes) -> tuple[int, ...]:
+    """The sorted member indices of a family's image under a row."""
+    return tuple(sorted([row[i] for i in fam]))
 
 
-def _run_root(masks: tuple[int, ...], meets: _Meets, k: int,
-              collect: bool, best: int, i0: int, comp: list[int]
-              ) -> tuple[list[tuple[int, tuple[int, ...]]], int, int, int, int]:
-    """Explore every family whose minimal member is masks[i0].
+def _generator_rows(perms: tuple[tuple[int, ...], ...], masks: tuple[int, ...],
+                    size: int) -> list[bytes]:
+    """One row per permutation kept as a generator: row[i] is the index
+    of the permutation's image of masks[i].
 
-    ``best`` is the largest family size known so far.  Without
-    ``collect`` only a family larger than ``best`` matters, so branches
-    that can at most tie it are pruned too.  ``comp`` is the conflict
-    table for the empty family (changed during the call, restored on
-    return).  Returns the recorded families as (size, member indices)
-    pairs, the node count, the updated best size and the prunes by the
-    size room and by the conflict matching.
+    The permutations are read in order.  One whose vertex images are
+    already in the group the kept ones generate is skipped; any other
+    gets its row from ``apply_permutation``, which must land in the
+    universe, and is kept.  So every given permutation is checked,
+    directly or as a product of checked ones.  The closure stops at as
+    many elements as there are permutations: a part of the group skips
+    soundly, and a redundant permutation kept costs only its row.
     """
-    km1, km2 = k - 1, k - 2
-    nodes = size_prunes = conflict_prunes = 0
+    if not perms:
+        raise ParameterError("a symmetry needs at least one permutation")
+    labels = set(range(1, size + 1))
+    index = {m: i for i, m in enumerate(masks)}
+    # vertex images are 1-based; translate tables have 256 entries
+    identity, pad = bytes(range(size + 1)), bytes(range(size + 1, 256))
+    group, tables, rows = {identity}, [], []
+    for perm in perms:
+        if (not isinstance(perm, (tuple, list)) or len(perm) != size
+                or set(map(type, perm)) != {int} or set(perm) != labels):
+            raise ParameterError(
+                f"symmetry element {perm!r} is not a permutation of 1..{size}")
+        images = b"\0" + bytes(perm)
+        if images in group:
+            continue
+        try:
+            rows.append(bytes([index[apply_permutation(perm, m)] for m in masks]))
+        except KeyError:
+            raise ParameterError(
+                "symmetry does not preserve the universe") from None
+        tables.append(images + pad)
+        group = _orbit(identity, tables, bytes.translate, len(perms))
+    return rows
+
+
+def max_kwise_family(problem: SearchProblem) -> SearchResult:
+    """Exact maximum k-wise intersecting subfamily of the universe.
+
+    Modes: "max_size_only" reports just the maximum cardinality;
+    "all_maximum" additionally reports every maximum family
+    (canonically ordered).  Capacity: at most 256 universe members in
+    every mode, so a member index fits in a byte.  Each ``symmetry``
+    element must permute the labels 1..universe_size and map the
+    universe onto itself; the search uses the group the permutations
+    generate, reads its orbits from the generators and never lists its
+    elements.
+    """
+    universe, k, mode = problem.universe, problem.k, problem.mode
+    require_int("k", k)
+    if k < 2:
+        raise ParameterError(f"k must be at least 2, got {k}")
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
+    if universe.r < 1:
+        raise ParameterError("the search needs members of cardinality r >= 1")
+    if len(universe) > _MEMBER_CAP:
+        raise CapacityError(
+            f"universe has {len(universe)} members, the search supports {_MEMBER_CAP}")
+    collect = mode != "max_size_only"
+
+    start_time = time.perf_counter()
+    masks = universe.sets
+    through = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
+               for v in range(universe.universe_size)]
+    best = max(t.bit_count() for t in through)  # the largest star
+    meets = _Memo(partial(_or_rows, through))
+
+    rows = ([] if problem.symmetry is None else
+            _generator_rows(problem.symmetry, masks, universe.universe_size))
+
+    # comp[a] = the members b such that a, b and every (k-2)-wise
+    # intersection of the chosen family share a vertex; for k = 2 that is
+    # every member meeting a, for k > 2 the empty family leaves all
+    comp = ([meets[m] for m in masks] if k == 2 else
+            [(1 << len(masks)) - 1] * len(masks))
+
+    # (size, member indices) of each family found at the best size so far
     records: list[tuple[int, tuple[int, ...]]] = []
+    if collect and best == 0:
+        records.append((0, ()))
+    nodes = 1  # the empty-family root
+    size_prunes = conflict_prunes = 0
+    km1, km2 = k - 1, k - 2
     chosen: list[int] = []
     # levels[j] = the distinct intersections of the j-subsets of the chosen
     # family; every one at level k-1 has already filtered the candidates
     levels: list[set[int]] = [{(1 << 64) - 1}] + [set() for _ in range(km1)]
-
-    def record(depth: int) -> None:
-        nonlocal best
-        if depth < best:
-            return
-        best = depth
-        if collect:
-            records.append((depth, tuple(chosen)))
 
     def include(i: int, cand: int, depth: int) -> None:
         """Add member i, filter candidates and conflicts, recurse, undo."""
@@ -280,9 +361,14 @@ def _run_root(masks: tuple[int, ...], meets: _Meets, k: int,
             levels[j] -= added[j]
 
     def extend(cand: int, depth: int) -> None:
-        nonlocal nodes, size_prunes, conflict_prunes
+        nonlocal nodes, best, size_prunes, conflict_prunes
         nodes += 1
-        record(depth)
+        if depth >= best:
+            best = depth
+            if collect:
+                records.append((depth, tuple(chosen)))
+        # without collecting only a family larger than best matters, so
+        # branches that can at most tie it are pruned too
         need = best + (not collect)  # the room a useful branch must have
         while cand:
             room = depth + cand.bit_count()
@@ -306,149 +392,36 @@ def _run_root(masks: tuple[int, ...], meets: _Meets, k: int,
             include(low.bit_length() - 1, cand, depth)
             need = best + (not collect)
 
-    include(i0, (1 << len(masks)) - (2 << i0), 0)  # the members above i0
-    return records, nodes, best, size_prunes, conflict_prunes
-
-
-def _orbit(x, gens, act) -> set:
-    """Every image of ``x`` under the group ``gens`` generate, where
-    ``act(y, g)`` is y's image under one generator: a breadth-first
-    search, since a finite group's elements are products of generators."""
-    seen, queue = {x}, [x]
-    for y in queue:  # the loop reaches what is appended to the queue
-        for g in gens:
-            z = act(y, g)
-            if z not in seen:
-                seen.add(z)
-                queue.append(z)
-    return seen
-
-
-def _image(fam: tuple[int, ...], row: bytes) -> tuple[int, ...]:
-    """The sorted member indices of a family's image under a row."""
-    return tuple(sorted([row[i] for i in fam]))
-
-
-def _generator_rows(perms: tuple[tuple[int, ...], ...], masks: tuple[int, ...],
-                    size: int) -> list[bytes]:
-    """One row per permutation kept as a generator: row[i] is the index
-    of the permutation's image of masks[i].
-
-    The permutations are read in order.  One whose vertex images are
-    already in the group the kept ones generate is skipped; any other
-    gets its row from ``apply_permutation``, which must land in the
-    universe, and is kept.  So every given permutation is checked,
-    directly or as a product of checked ones.
-    """
-    if not perms:
-        raise ParameterError("a symmetry needs at least one permutation")
-    labels = set(range(1, size + 1))
-    index = {m: i for i, m in enumerate(masks)}
-    # vertex images are 1-based; translate tables have 256 entries
-    identity, pad = bytes(range(size + 1)), bytes(range(size + 1, 256))
-    group, tables, rows = {identity}, [], []
-    for perm in perms:
-        if (not isinstance(perm, (tuple, list)) or len(perm) != size
-                or set(map(type, perm)) != {int} or set(perm) != labels):
-            raise ParameterError(
-                f"symmetry element {perm!r} is not a permutation of 1..{size}")
-        images = b"\0" + bytes(perm)
-        if images in group:
-            continue
-        try:
-            rows.append(bytes([index[apply_permutation(perm, m)] for m in masks]))
-        except KeyError:
-            raise ParameterError(
-                "symmetry does not preserve the universe") from None
-        tables.append(images + pad)
-        group = _orbit(identity, tables, bytes.translate)
-    return rows
-
-
-def max_kwise_family(problem: SearchProblem) -> SearchResult:
-    """Exact maximum k-wise intersecting subfamily of the universe.
-
-    Modes: "max_size_only" reports just the maximum cardinality;
-    "all_maximum" additionally reports every maximum family
-    (canonically ordered); "one_witness" reports the canonically least
-    maximum family.  Capacity: at most 256 universe members in every
-    mode, so a member index fits in a byte.  Each ``symmetry`` element must
-    permute the labels 1..universe_size and map the universe onto
-    itself; the search uses the group the permutations generate, reads
-    its orbits from the generators and never lists its elements.
-    """
-    universe, k, mode = problem.universe, problem.k, problem.mode
-    require_int("k", k)
-    if k < 2:
-        raise ParameterError(f"k must be at least 2, got {k}")
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode {mode!r}")
-    if universe.r < 1:
-        raise ParameterError("the search needs members of cardinality r >= 1")
-    if len(universe) > _MEMBER_CAP:
-        raise CapacityError(
-            f"universe has {len(universe)} members, the search supports {_MEMBER_CAP}")
-    collect = mode != "max_size_only"
-
-    start_time = time.perf_counter()
-    masks = universe.sets
-    through = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
-               for v in range(universe.universe_size)]
-    best = max(t.bit_count() for t in through)  # the largest star
-    meets = _Meets(through)
-
-    rows = ([] if problem.symmetry is None else
-            _generator_rows(problem.symmetry, masks, universe.universe_size))
-
-    # comp[a] = the members b such that a, b and every (k-2)-wise
-    # intersection of the chosen family share a vertex; for k = 2 that is
-    # every member meeting a, for k > 2 the empty family leaves all
-    comp = ([meets[m] for m in masks] if k == 2 else
-            [(1 << len(masks)) - 1] * len(masks))
-
-    records: list[tuple[int, tuple[int, ...]]] = []
-    nodes = 1  # the empty-family root
-    size_prunes = conflict_prunes = 0
-    if collect and best == 0:
-        records.append((0, ()))
     covered: set[tuple[int, ...]] = set()
     for i0 in range(len(masks)):
         if (i0,) not in covered:  # ascending, so i0 is least in its orbit
             covered |= _orbit((i0,), rows, _image)
-            recs, nd, best, sp, cp = _run_root(masks, meets, k, collect,
-                                               best, i0, comp)
-            records.extend(recs)
-            nodes += nd
-            size_prunes += sp
-            conflict_prunes += cp
+            include(i0, (1 << len(masks)) - (2 << i0), 0)  # the members above i0
 
-    max_size = best
     witnesses: tuple[UniformFamily, ...] = ()
     all_are_stars: bool | None = None
     star_centers: tuple[int, ...] = ()
     if collect:
         found: set[tuple[int, ...]] = set()
         for size, fam in records:
-            if size == max_size and fam not in found:
+            if size == best and fam not in found:
                 found |= _orbit(fam, rows, _image)
         # indices ascend with masks, so this is the order of the mask tuples
         ordered = sorted(found)
-        if mode == "one_witness":
-            ordered = ordered[:1]
         witnesses = tuple(
             UniformFamily(universe.universe_size, universe.r,
                           tuple(masks[i] for i in fam))
             for fam in ordered)
         for w in witnesses:
-            if len(w) != max_size or not is_k_wise_intersecting(w, k):
+            if len(w) != best or not is_k_wise_intersecting(w, k):
                 raise IntegrityError("collected witness fails verification")
-        if witnesses and max_size > 0:
+        if witnesses and best > 0:
             bitsets = {sum(1 << i for i in fam) for fam in ordered}
             all_are_stars = bitsets <= set(through)
             star_centers = tuple(v for v, t in enumerate(through, 1)
                                  if t in bitsets)
 
-    return SearchResult(max_size, witnesses, all_are_stars, star_centers,
+    return SearchResult(best, witnesses, all_are_stars, star_centers,
                         nodes, time.perf_counter() - start_time,
                         size_prunes, conflict_prunes)
 
@@ -532,6 +505,8 @@ def verify_extremal_characterization(n: int, r: int, k: int,
         require_int(name, value)
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
     if not n <= r <= 2 * n - 1:
         raise ParameterError(f"need n <= r < 2n, got r={r}, n={n}")
     if k * r > (k - 1) * 2 * n:
@@ -559,7 +534,7 @@ def verify_extremal_characterization(n: int, r: int, k: int,
         bound_met=result.max_size == bound,
         boundary=boundary,
         uniqueness_asserted=uniqueness_asserted,
-        all_are_stars=all_are_stars if mode != "max_size_only" else None,
+        all_are_stars=all_are_stars,
         star_centers=result.star_centers,
         witness_count=len(result.witnesses),
         witnesses=result.witnesses,

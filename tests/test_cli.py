@@ -207,7 +207,9 @@ UNPARSABLE = [
     ["circle", "--n", "3", "--action", "spin"],
     ["fuzz", "--target", "3"],
     ["fuzz", "--target", "1", "--trials", "many"],
-    ["bounds", "--n", "2", "--seed", "x"],
+    ["fuzz", "--target", "1", "--seed", "x"],
+    # only fuzz takes a seed
+    ["verify", "--n", "3", "--r", "3", "--k", "3", "--seed", "0"],
 ]
 
 # one small valid invocation per subcommand

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -215,8 +216,6 @@ def test_conflict_bound_agrees_with_oracle(universe, k):
     every = max_kwise_family(SearchProblem(universe, k))
     assert every.max_size == max_size
     assert [w.sets for w in every.witnesses] == sorted(hits)
-    one = max_kwise_family(SearchProblem(universe, k, "one_witness"))
-    assert [w.sets for w in one.witnesses] == [min(hits)]
     assert max_kwise_family(
         SearchProblem(universe, k, "max_size_only")).max_size == max_size
 
@@ -252,18 +251,19 @@ def test_modes():
     assert max_only.max_size == 4
     assert max_only.witnesses == ()
     assert max_only.all_are_stars is None
-    one = max_kwise_family(SearchProblem(universe, 3, "one_witness"))
-    assert len(one.witnesses) == 1
     every = max_kwise_family(SearchProblem(universe, 3, "all_maximum"))
-    assert one.witnesses[0].sets == every.witnesses[0].sets
+    assert every.max_size == 4 and every.all_are_stars
 
 
 def test_parameter_and_capacity_errors():
     universe = matching_universe(3, 3)
     with pytest.raises(ParameterError):
         max_kwise_family(SearchProblem(universe, 1))
-    with pytest.raises(ParameterError):
-        max_kwise_family(SearchProblem(universe, 3, "everything"))
+    for mode in ("everything", "one_witness"):
+        with pytest.raises(ParameterError):
+            max_kwise_family(SearchProblem(universe, 3, mode))
+        with pytest.raises(ParameterError):
+            verify_extremal_characterization(5, 5, 3, mode)  # before n <= 4
     big = complete_uniform_family(12, 4)        # 495 members
     for mode in search.MODES:
         with pytest.raises(CapacityError):
@@ -311,12 +311,10 @@ def test_symmetry_generates_its_group():
     for universe, k, gens, count in cases:
         plain = max_kwise_family(SearchProblem(universe, k))
         every = max_kwise_family(SearchProblem(universe, k, symmetry=gens))
-        one = max_kwise_family(SearchProblem(universe, k, "one_witness", gens))
         assert len(plain.witnesses) == count
         assert [w.sets for w in every.witnesses] == \
             [w.sets for w in plain.witnesses]
         assert every.star_centers == plain.star_centers
-        assert [w.sets for w in one.witnesses] == [plain.witnesses[0].sets]
     # an edge swap, an edge 5-cycle and one flip generate all of M_5's group
     G5 = matching_symmetry(5)
     universe = matching_universe(5, 5)
@@ -325,6 +323,30 @@ def test_symmetry_generates_its_group():
         SearchProblem(universe, 3, symmetry=(G5[768], G5[1056], G5[1])))
     assert [w.sets for w in got.witnesses] == [w.sets for w in full.witnesses]
     assert got.explored_nodes == full.explored_nodes == 94
+
+
+# generators of groups far larger than the universe: the search reads
+# orbits from them and must not list the group (S_12 has 479,001,600
+# elements), so each case runs within a budget of a few seconds
+LARGE_GROUPS = [
+    pytest.param(matching_universe(8, 15), 16, "max_size_only",
+                 matching_symmetry_generators(8), 15, 0, id="matching-8"),
+    pytest.param(matching_universe(10, 19), 20, "max_size_only",
+                 matching_symmetry_generators(10), 19, 0, id="matching-10"),
+    pytest.param(complete_uniform_family(12, 1), 2, "all_maximum",
+                 complete_symmetry(12), 1, 12, id="complete-12"),
+]
+
+
+@pytest.mark.parametrize("universe, k, mode, gens, max_size, witnesses",
+                         LARGE_GROUPS)
+def test_generators_of_large_groups_are_not_listed(universe, k, mode, gens,
+                                                   max_size, witnesses):
+    started = time.perf_counter()
+    result = max_kwise_family(SearchProblem(universe, k, mode, gens))
+    assert time.perf_counter() - started < 3.0
+    assert result.max_size == max_size
+    assert len(result.witnesses) == witnesses
 
 
 NON_INT_ARGUMENTS = [
@@ -382,7 +404,7 @@ MALFORMED_SYMMETRY = [
 def test_symmetry_elements_must_be_permutations(perm):
     universe = matching_universe(3, 3)
     group = matching_symmetry(3)
-    for mode in ("all_maximum", "one_witness", "max_size_only"):
+    for mode in ("all_maximum", "max_size_only"):
         for symmetry in ((perm,), group + (perm,)):
             with pytest.raises(ParameterError):
                 max_kwise_family(SearchProblem(universe, 3, mode, symmetry))
