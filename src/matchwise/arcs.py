@@ -9,9 +9,12 @@ The central procedure, :func:`assign_indices`, is an executable
 double-counting argument on the complements of the arcs (which are
 arcs of length N-r).  After rotating the labels so one distinguished
 complement ends at position N, every other complement is assigned the
-index it ends at and the distinguished one the block [N, k(N-r)]; the
-assigned indices are held in one bitset.  The range [1, k(N-r)] falls
-into residue classes mod N-r.  Two mutually exclusive outcomes arise:
+index it ends at and the distinguished one the block [N, k(N-r)].  The
+rotated start set and the assigned indices are each one bitset, and
+both entry points share one kernel over them; the report rebuilds the
+sorted starts and the unassigned indices only when they are read.  The
+range [1, k(N-r)] falls into residue classes mod N-r.  Two mutually
+exclusive outcomes arise:
 
 * every class keeps an unassigned index, which forces the family to
   have at most r members ("bounded"), or
@@ -115,17 +118,19 @@ class AssignmentReport:
     distinguished complement ends at position N (equivalently, the
     distinguished member starts at 1); ``rotation`` records the shift
     that was applied to the input labels.  The witness, when present,
-    is reported back in the input labelling.  The procedure holds the
-    assigned indices in one bitset; ``assigned`` and ``classes`` are
-    rebuilt from the other fields on demand.
+    is reported back in the input labelling.  The procedure holds two
+    bitsets: ``starts_mask`` has bit s-1 set for each rotated start s,
+    and ``held`` has bit x set for each assigned index x.
+    ``normalized_starts``, ``unassigned``, ``assigned`` and ``classes``
+    are rebuilt from the fields on demand.
     """
 
     size: int
     length: int
     k: int
     rotation: int
-    normalized_starts: tuple[int, ...]
-    unassigned: tuple[int, ...]
+    starts_mask: int
+    held: int
     outcome: str                           # "bounded" | "covering_witness"
     witness_members: tuple[int, ...] | None = None        # original starts, k of them
     witness_complements: tuple[tuple[int, ...], ...] | None = None
@@ -133,6 +138,17 @@ class AssignmentReport:
     @property
     def bounded(self) -> bool:
         return self.outcome == "bounded"
+
+    @property
+    def normalized_starts(self) -> tuple[int, ...]:
+        """The rotated starts, ascending; the first is always 1."""
+        return tuple(s for s in range(1, self.size + 1) if self.starts_mask >> s - 1 & 1)
+
+    @property
+    def unassigned(self) -> tuple[int, ...]:
+        """The indices in 1..k(N-r) that no complement holds, ascending."""
+        span = self.k * (self.size - self.length)
+        return tuple(x for x in range(1, span + 1) if not self.held >> x & 1)
 
     @property
     def assigned(self) -> Mapping[int, int]:
@@ -160,14 +176,13 @@ class AssignmentReport:
         return obj
 
 
-def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
-    """Run the end-index assignment on the complements of ``fam``.
+def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int, int]:
+    """The assignment's bitsets: ``(rotation, starts, held, full)``.
 
-    Preconditions: k >= 2, fam nonempty, and k*r <= (k-1)*N so the
-    index range [1, k(N-r)] is long enough to hold the circle.  The
-    distinguished complement is the one with the largest end position
-    under the input labelling; any fixed choice works, a deterministic
-    one keeps reports reproducible.
+    ``starts`` has bit s-1 set for each rotated start s, ``held`` bit x
+    for each assigned index x, and ``full`` bit c for each residue class
+    c whose indices are all held.  Raises ``ParameterError`` unless
+    k >= 2, fam is nonempty and k*r <= (k-1)*N.
     """
     _require_arity(k)
     if not fam.starts:
@@ -182,29 +197,42 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
     # the complement of the arc at s ends at s-1: the distinguished one,
     # ending last, is start 1's if present, else the largest start's
     rotation = 0 if fam.starts[0] == 1 else (1 - fam.starts[-1]) % n
-
-    normalized = tuple(sorted(wrap(s + rotation, n) for s in fam.starts))
-    # bit x of held <=> index x is assigned: the complement of start s > 1
-    # takes the index s-1 it ends at, the distinguished one the block N..span
-    held = (1 << span + 1) - (1 << n)
-    for s in normalized[1:]:
-        held |= 1 << s - 1
+    starts = 0
+    for s in fam.starts:
+        starts |= 1 << s - 1
+    starts = (starts << rotation | starts >> n - rotation) & (1 << n) - 1
+    # the complement of start s > 1 takes the index s-1 it ends at (bit
+    # s-1 of starts), the distinguished one the block N..span
+    held = (1 << span + 1) - (1 << n) | starts & -2
     # bit c of full <=> every index c, c+d, ..., c+(k-1)d of class c is held
     full = (1 << d + 1) - 2
     for j in range(k):
         full &= held >> j * d
-    unassigned = tuple(x for x in range(1, span + 1) if not held >> x & 1)
+    return rotation, starts, held, full
 
+
+def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
+    """Run the end-index assignment on the complements of ``fam``.
+
+    Preconditions: k >= 2, fam nonempty, and k*r <= (k-1)*N so the
+    index range [1, k(N-r)] is long enough to hold the circle.  The
+    distinguished complement is the one with the largest end position
+    under the input labelling; any fixed choice works, a deterministic
+    one keeps reports reproducible.
+    """
+    rotation, starts, held, full = _assign(fam, k)
+    n, r = fam.size, fam.length
     if not full:
         if len(fam) > r:
             raise IntegrityError("every class has an unassigned index yet "
                                  "|family| > r; the index accounting is broken")
-        return AssignmentReport(n, r, k, rotation, normalized, unassigned, "bounded")
+        return AssignmentReport(n, r, k, rotation, starts, held, "bounded")
 
     # A fully assigned class: the complements ending at its indices
     # cover the circle.  Indices >= N all belong to the distinguished
     # complement, which ends at N.
-    full_class = range((full & -full).bit_length() - 1, span + 1, d)
+    d = n - r
+    full_class = range((full & -full).bit_length() - 1, k * d + 1, d)
     members = []
     complements = []
     covered = 0
@@ -219,7 +247,7 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
             covered |= 1 << (p - 1)
     if covered != (1 << n) - 1:
         raise IntegrityError("covering witness fails to cover the circle")
-    return AssignmentReport(n, r, k, rotation, normalized, unassigned,
+    return AssignmentReport(n, r, k, rotation, starts, held,
                             "covering_witness", tuple(members), tuple(complements))
 
 
@@ -243,23 +271,24 @@ def common_index(fam: IntervalFamily, k: int) -> int:
     if len(fam) != r:
         raise ParameterError(f"family has {len(fam)} arcs, expected exactly r={r}")
 
-    report = assign_indices(fam, k)
-    if not report.bounded:
+    rotation, starts, held, full = _assign(fam, k)
+    if full:
         raise IntegrityError(
             "family produced a covering witness; it was not k-wise intersecting")
 
-    u = report.unassigned
     d = n - r
-    if len(u) != d:
+    free = ~held & (1 << k * d + 1) - 2     # bit x <=> index x is unassigned
+    if free.bit_count() != d:
         raise IntegrityError(
-            f"expected exactly {d} unassigned indices, found {len(u)}")
-    if u[-1] - u[0] != d - 1:
+            f"expected exactly {d} unassigned indices, found {free.bit_count()}")
+    x_norm = (free & -free).bit_length() - 1
+    if free >> x_norm != (1 << d) - 1:
+        u = tuple(x for x in range(1, k * d + 1) if free >> x & 1)
         raise IntegrityError(
             f"unassigned indices {u} do not form one contiguous stretch")
-    x_norm = u[0]
 
-    expected = tuple(sorted(wrap(x_norm - j, n) for j in range(r)))
-    if expected != report.normalized_starts:
+    # the arcs through x_norm start at x_norm-r+1..x_norm: one arc's mask
+    if fam.mask(x_norm - r + 1) != starts:
         raise IntegrityError(
             "family is not the set of all arcs through the candidate position")
-    return wrap(x_norm - report.rotation, n)
+    return wrap(x_norm - rotation, n)

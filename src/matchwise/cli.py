@@ -87,6 +87,8 @@ def _render(args, obj: dict, text: str, columns: list[str] | None = None,
 
 def _cmd_bounds(args) -> tuple[str, bool]:
     n_lo, n_hi = _parse_range(args.n)
+    if n_lo < 1:
+        raise ParameterError(f"need an edge count n >= 1, got --n {args.n!r}")
     rows = []
     for n in range(n_lo, n_hi + 1):
         if args.r is not None:

@@ -366,6 +366,12 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     if k < 2:
         raise ParameterError(f"k must be at least 2, got {k}")
     members = fam.sets
+    full = (1 << fam.universe_size) - 1
+    # common[i] is the AND of members[i:]: while inter & common[start] is
+    # nonzero, no choice from members[start:] can empty the intersection
+    common = [full] * (len(members) + 1)
+    for i in range(len(members) - 1, -1, -1):
+        common[i] = common[i + 1] & members[i]
     chosen: list[int] = []
     # (intersection, members left) states whose subtree found nothing.  A
     # state seen again finds nothing either: if its members plus some E
@@ -376,7 +382,7 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     def descend(start: int, inter: int, left: int) -> tuple[int, ...] | None:
         if inter == 0:
             return tuple(chosen + [chosen[-1]] * (k - len(chosen)))
-        if left == 0 or (inter, left) in failed:
+        if left == 0 or inter & common[start] or (inter, left) in failed:
             return None
         for i in range(start, len(members)):
             chosen.append(members[i])
@@ -387,7 +393,6 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
         failed.add((inter, left))
         return None
 
-    full = (1 << fam.universe_size) - 1
     return descend(0, full, min(k, len(members)))
 
 

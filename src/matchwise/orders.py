@@ -352,7 +352,7 @@ def saturation(order: GoodCyclicOrder, fam: UniformFamily,
             "possible for a k-wise intersecting family")
     if len(starts) < r:
         return SaturationStatus(False, len(starts))
-    arc_fam = IntervalFamily.from_starts(order.size, r, starts)
+    arc_fam = IntervalFamily(order.size, r, tuple(starts))  # ascending, distinct
     position = common_index(arc_fam, k)
     return SaturationStatus(True, r, position, order.vertex_at(position))
 

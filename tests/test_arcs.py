@@ -275,6 +275,25 @@ def test_common_index_exhaustive_small_circles():
                     assert set(starts) == stars[x]
 
 
+def test_common_index_on_every_size_r_family():
+    # every r-subset of starts in the strict regime, k-wise or not: a
+    # k-wise family is the star through the returned position, and
+    # every other family is rejected with an integrity error
+    for size in range(4, 10):
+        for k in (2, 3, 4):
+            max_len = ((k - 1) * size - 1) // k
+            for length in range(1, max_len + 1):
+                helper = IntervalFamily(size, length, ())
+                for starts in combinations(range(1, size + 1), length):
+                    fam = IntervalFamily(size, length, starts)
+                    if kwise_ok(arcs_as_sets(fam), k):
+                        x = common_index(fam, k)
+                        assert starts == helper.starts_through(x)
+                    else:
+                        with pytest.raises(IntegrityError):
+                            common_index(fam, k)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_random_kwise_families_never_yield_witness(data):

@@ -196,6 +196,9 @@ MALFORMED = [
     (["verify", "--n", "5", "--r", "20", "--k", "3"], 2, "parameter"),
     (["verify", "--n", "5", "--r", "5", "--k", "1"], 2, "parameter"),
     (["verify", "--n", "5", "--r", "9", "--k", "3"], 2, "parameter"),
+    (["bounds", "--n", "0"], 2, "parameter"),
+    # a separate "-1:2" reads as a flag to argparse, so join it to --n
+    (["bounds", "--n=-1:2"], 2, "parameter"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known
