@@ -23,7 +23,9 @@ exclusive outcomes arise:
   arcs have empty intersection ("covering_witness").
 
 So a covering witness certifies that the family was not k-wise
-intersecting, while the bounded outcome certifies the size cap.
+intersecting, while the bounded outcome certifies the size cap.  The
+witness is held as its k members, checked to share no position; their
+complements are rebuilt from them when read.
 :func:`common_index` sharpens the bounded outcome for families of size
 exactly r: the unassigned indices must form one contiguous stretch,
 and the family must consist of precisely the r arcs through a single
@@ -36,15 +38,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import IntegrityError, ParameterError
-
-
-def _require_arity(k: int) -> None:
-    """Raise ``ParameterError`` unless k is an int (not a bool) of at least 2."""
-    if type(k) is not int:  # bool is an int subclass
-        raise ParameterError(f"k must be an int, got {k!r}")
-    if k < 2:
-        raise ParameterError(f"k must be at least 2, got {k}")
+from .errors import IntegrityError, ParameterError, require_arity
 
 
 def wrap(p: int, size: int) -> int:
@@ -118,11 +112,11 @@ class AssignmentReport:
     distinguished complement ends at position N (equivalently, the
     distinguished member starts at 1); ``rotation`` records the shift
     that was applied to the input labels.  The witness, when present,
-    is reported back in the input labelling.  The procedure holds two
-    bitsets: ``starts_mask`` has bit s-1 set for each rotated start s,
-    and ``held`` has bit x set for each assigned index x.
-    ``normalized_starts``, ``unassigned``, ``assigned`` and ``classes``
-    are rebuilt from the fields on demand.
+    is held as its k members in the input labelling.  The procedure
+    holds two bitsets: ``starts_mask`` has bit s-1 set for each rotated
+    start s, and ``held`` has bit x set for each assigned index x.
+    ``normalized_starts``, ``unassigned``, ``assigned``, ``classes`` and
+    ``witness_complements`` are rebuilt from the fields on demand.
     """
 
     size: int
@@ -132,12 +126,21 @@ class AssignmentReport:
     starts_mask: int
     held: int
     outcome: str                           # "bounded" | "covering_witness"
-    witness_members: tuple[int, ...] | None = None        # original starts, k of them
-    witness_complements: tuple[tuple[int, ...], ...] | None = None
+    witness_members: tuple[int, ...] | None = None   # input-label starts, k of them
 
     @property
     def bounded(self) -> bool:
         return self.outcome == "bounded"
+
+    @property
+    def witness_complements(self) -> tuple[tuple[int, ...], ...] | None:
+        """The complements of the witness members, in input labels; they
+        cover the circle.  None when the outcome is bounded."""
+        if self.witness_members is None:
+            return None
+        n, r = self.size, self.length
+        return tuple(tuple(wrap(s + r + j, n) for j in range(n - r))
+                     for s in self.witness_members)
 
     @property
     def normalized_starts(self) -> tuple[int, ...]:
@@ -171,7 +174,7 @@ class AssignmentReport:
             "outcome": self.outcome,
             "unassigned": list(self.unassigned),
         }
-        if self.witness_complements is not None:
+        if self.witness_members is not None:
             obj["witness"] = [list(arc) for arc in self.witness_complements]
         return obj
 
@@ -184,7 +187,7 @@ def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int, int]:
     c whose indices are all held.  Raises ``ParameterError`` unless
     k >= 2, fam is nonempty and k*r <= (k-1)*N.
     """
-    _require_arity(k)
+    require_arity(k)
     if not fam.starts:
         raise ParameterError("the assignment procedure needs a nonempty family")
     n, r = fam.size, fam.length
@@ -228,27 +231,21 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
                                  "|family| > r; the index accounting is broken")
         return AssignmentReport(n, r, k, rotation, starts, held, "bounded")
 
-    # A fully assigned class: the complements ending at its indices
-    # cover the circle.  Indices >= N all belong to the distinguished
-    # complement, which ends at N.
+    # A fully assigned class c: the complements ending at its indices
+    # cover the circle, so the members they complement share no
+    # position.  Complement end e <-> member start e+1, and indices >= N
+    # all belong to the distinguished complement, which ends at N.
     d = n - r
-    full_class = range((full & -full).bit_length() - 1, k * d + 1, d)
-    members = []
-    complements = []
-    covered = 0
-    for x in full_class:
-        end = x if x <= n - 1 else n
-        comp_start = wrap(end - d + 1, n)
-        arc = tuple(wrap(comp_start + j, n) for j in range(d))
-        member_norm = wrap(end + 1, n)     # complement end e <-> member start e+1
-        members.append(wrap(member_norm - rotation, n))
-        complements.append(tuple(wrap(p - rotation, n) for p in arc))
-        for p in arc:
-            covered |= 1 << (p - 1)
-    if covered != (1 << n) - 1:
+    c = (full & -full).bit_length() - 1
+    members = tuple(wrap((x + 1 if x < n else 1) - rotation, n)
+                    for x in range(c, k * d + 1, d))
+    common = -1
+    for s in members:
+        common &= fam.mask(s)
+    if common:
         raise IntegrityError("covering witness fails to cover the circle")
     return AssignmentReport(n, r, k, rotation, starts, held,
-                            "covering_witness", tuple(members), tuple(complements))
+                            "covering_witness", members)
 
 
 def common_index(fam: IntervalFamily, k: int) -> int:
@@ -263,7 +260,7 @@ def common_index(fam: IntervalFamily, k: int) -> int:
     which signals that the preconditions did not actually hold.
     """
     n, r = fam.size, fam.length
-    _require_arity(k)
+    require_arity(k)
     if k * r >= (k - 1) * n:
         raise ParameterError(
             f"common-index extraction needs k*r < (k-1)*N strictly, "

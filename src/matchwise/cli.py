@@ -89,13 +89,13 @@ def _cmd_bounds(args) -> tuple[str, bool]:
     n_lo, n_hi = _parse_range(args.n)
     if n_lo < 1:
         raise ParameterError(f"need an edge count n >= 1, got --n {args.n!r}")
+    r_lo, r_hi = (1, None) if args.r is None else _parse_range(args.r)
+    if r_lo < 1:
+        raise ParameterError(f"need a cardinality r >= 1, got --r {args.r!r}")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        if args.r is not None:
-            r_lo, r_hi = _parse_range(args.r)
-        else:
-            r_lo, r_hi = 1, 2 * n - 1
-        for r in range(max(1, r_lo), min(2 * n, r_hi) + 1):
+        # a high end above 2n is clipped per n; the default stops at 2n-1
+        for r in range(r_lo, (2 * n - 1 if r_hi is None else min(2 * n, r_hi)) + 1):
             bound = matching_star_bound(n, r)
             star_size = None
             match = None

@@ -1,7 +1,8 @@
 """Error hierarchy shared by all matchwise modules.
 
 The three classes map to distinct CLI exit codes (see SCHEMA.md):
-parameter 2, capacity 3, integrity 4.
+parameter 2, capacity 3, integrity 4.  The argument checks every layer
+shares live here too, so the arc layer needs no matching-layer import.
 """
 
 
@@ -25,3 +26,16 @@ class IntegrityError(MatchwiseError):
     k-wise intersecting produces a covering certificate), or when an
     implementation invariant is violated.
     """
+
+
+def require_int(name: str, value: object) -> None:
+    """Raise ``ParameterError`` unless ``value`` is an ``int`` (not a bool)."""
+    if type(value) is not int:  # bool is an int subclass
+        raise ParameterError(f"{name} must be an int, got {value!r}")
+
+
+def require_arity(k: object) -> None:
+    """Raise ``ParameterError`` unless the arity k is an int of at least 2."""
+    require_int("k", k)
+    if k < 2:
+        raise ParameterError(f"k must be at least 2, got {k}")

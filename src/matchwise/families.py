@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, require_arity, require_int
 
 FamilyKind = str  # "independent" | "max_containing" | "union"
 
@@ -36,12 +36,6 @@ _MAX_MEMBERS = 1 << 20
 # ---------------------------------------------------------------------------
 # bitmask vertex sets
 # ---------------------------------------------------------------------------
-
-def require_int(name: str, value: object) -> None:
-    """Raise ``ParameterError`` unless ``value`` is an ``int`` (not a bool)."""
-    if type(value) is not int:  # bool is an int subclass
-        raise ParameterError(f"{name} must be an int, got {value!r}")
-
 
 def mask_of(vertices: Iterable[int]) -> int:
     """Pack vertex labels (1-based) into a bitmask."""
@@ -362,9 +356,7 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     Members are scanned in ascending mask order with a running
     intersection, so violations terminate early.
     """
-    require_int("k", k)
-    if k < 2:
-        raise ParameterError(f"k must be at least 2, got {k}")
+    require_arity(k)
     members = fam.sets
     full = (1 << fam.universe_size) - 1
     # common[i] is the AND of members[i:]: while inter & common[start] is

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .arcs import IntervalFamily, common_index, wrap
-from .errors import CapacityError, IntegrityError, ParameterError
-from .families import MatchingGraph, UniformFamily, require_int
+from .errors import CapacityError, IntegrityError, ParameterError, require_arity, require_int
+from .families import MatchingGraph, UniformFamily
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,7 @@ def saturation(order: GoodCyclicOrder, fam: UniformFamily,
     vertex) shared by all of them.  A count above r is impossible for
     a k-wise intersecting family, so it raises IntegrityError.
     """
-    require_int("k", k)  # before the cache, which takes 3.0 for 3
+    require_arity(k)  # before the cache, which takes 3.0 for 3
     r = fam.r
     member_set = _saturation_members(order.n, fam, k)
     starts = [start for start, mask in intervals(order, r) if mask in member_set]

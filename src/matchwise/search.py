@@ -54,9 +54,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import permutations
 
-from .errors import CapacityError, IntegrityError, ParameterError
+from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
+                     require_int)
 from .families import (MatchingGraph, UniformFamily, is_k_wise_intersecting,
-                       matching_star_bound, matching_universe, require_int)
+                       matching_star_bound, matching_universe)
 from .schema import SCHEMA_VERSION
 
 MODES = ("max_size_only", "all_maximum")
@@ -288,9 +289,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     elements.
     """
     universe, k, mode = problem.universe, problem.k, problem.mode
-    require_int("k", k)
-    if k < 2:
-        raise ParameterError(f"k must be at least 2, got {k}")
+    require_arity(k)
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     if universe.r < 1:
@@ -501,10 +500,9 @@ def verify_extremal_characterization(n: int, r: int, k: int,
     without being asserted.  The search reduces by M_n's symmetry
     group through its three generators.
     """
-    for name, value in (("n", n), ("r", r), ("k", k)):
+    for name, value in (("n", n), ("r", r)):
         require_int(name, value)
-    if k < 2:
-        raise ParameterError(f"k must be at least 2, got {k}")
+    require_arity(k)
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
     if not n <= r <= 2 * n - 1:

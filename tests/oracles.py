@@ -2,8 +2,8 @@
 
 Everything here recomputes expected values straight from definitions
 (subset filters, Pascal's triangle, permutation filters, exhaustive
-subfamily scans) without touching the production code paths it is used
-to check.
+subfamily scans and walks) without touching the production code paths
+it is used to check.
 """
 
 from itertools import combinations, permutations, product
@@ -95,30 +95,40 @@ def brute_max_kwise(members: list[frozenset[int]], k: int
     return 0, [frozenset()]
 
 
-def kwise_ok_masks(members: tuple[int, ...], k: int) -> bool:
-    if not members:
-        return True
-    depth = min(k, len(members))
-    for combo in combinations(members, depth):
-        common = combo[0]
-        for m in combo[1:]:
-            common &= m
-            if not common:
-                break
-        if not common:
-            return False
-    return True
-
-
 def brute_max_kwise_masks(members: tuple[int, ...], k: int
                           ) -> tuple[int, list[tuple[int, ...]]]:
-    """Same exhaustive scan on bitmask members (fast enough for 2^16)."""
-    for size in range(len(members), 0, -1):
-        hits = [combo for combo in combinations(members, size)
-                if kwise_ok_masks(combo, k)]
-        if hits:
-            return size, hits
-    return 0, [()]
+    """Exhaustive maximum on bitmask members by a depth-first walk.
+
+    Member m joins the chosen ones only when every j-subset of them,
+    0 <= j <= min(k-1, |chosen|), still shares a bit with m (the empty
+    subset stands for every bit, so m must be nonempty).  k-wise
+    intersection is closed under taking subfamilies, so the walk
+    reaches every k-wise intersecting subfamily, each once, in the
+    order combinations() lists them; it skips only branches with too
+    few members left to reach the best size so far.  Returns the
+    maximum size with every subfamily achieving it, or (0, [()]) when
+    none qualifies.
+    """
+    best, hits = 0, [()]
+
+    def walk(chosen: tuple[int, ...], start: int, meets: list[list[int]]):
+        # meets[j]: the intersections of the j-subsets of chosen, j < k
+        nonlocal best, hits
+        if len(chosen) > best:
+            best, hits = len(chosen), []
+        if chosen and len(chosen) == best:
+            hits.append(chosen)
+        for i in range(start, len(members)):
+            if len(chosen) + len(members) - i < best:
+                return  # too few members left to reach the best size
+            m = members[i]
+            if all(meet & m for level in meets for meet in level):
+                walk(chosen + (m,), i + 1,
+                     meets[:1] + [meets[j] + [meet & m for meet in meets[j - 1]]
+                                  for j in range(1, k)])
+
+    walk((), 0, [[-1]] + [[] for _ in range(1, k)])  # -1 has every bit set
+    return best, hits
 
 
 # -- good cyclic orders from the definition ----------------------------------

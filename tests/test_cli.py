@@ -199,6 +199,10 @@ MALFORMED = [
     (["bounds", "--n", "0"], 2, "parameter"),
     # a separate "-1:2" reads as a flag to argparse, so join it to --n
     (["bounds", "--n=-1:2"], 2, "parameter"),
+    (["bounds", "--n", "3", "--r", "0:2"], 2, "parameter"),
+    (["bounds", "--n", "3", "--r", "0"], 2, "parameter"),
+    (["circle", "--n", "4", "--action", "saturate", "--r", "5", "--k", "1"],
+     2, "parameter"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known

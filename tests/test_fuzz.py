@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+import matchwise.fuzz
 from matchwise import ParameterError, fuzz_assignment, fuzz_common_index, run_fuzz
 
 
@@ -10,6 +13,40 @@ def test_assignment_fuzz_finds_no_violations():
     assert summary.conforming + summary.nonconforming == 2000
     assert summary.conforming > 500
     assert summary.bounded + summary.covering == 2000
+
+
+def _outside_rotation(fam, members):
+    """The members turned by the first rotation that moves one out of the
+    family; turned arcs still share no position.  None if every turn stays in."""
+    for t in range(1, fam.size):
+        turned = tuple((s + t - 1) % fam.size + 1 for s in members)
+        if not set(fam.starts).issuperset(turned):
+            return turned
+    return None
+
+
+@pytest.mark.parametrize("forge", [
+    _outside_rotation,                                   # a member not in the family
+    lambda fam, members: (members[0],) * len(members),   # k arcs sharing a position
+], ids=["member-outside-family", "members-share-a-position"])
+def test_assignment_fuzz_rejects_forged_witnesses(monkeypatch, forge):
+    real = matchwise.fuzz.assign_indices
+    forged = []
+
+    def assign_indices(fam, k):
+        report = real(fam, k)
+        members = None if report.bounded else forge(fam, report.witness_members)
+        if members is None:
+            return report
+        forged.append(fam.starts)
+        return dataclasses.replace(report, witness_members=members)
+
+    monkeypatch.setattr(matchwise.fuzz, "assign_indices", assign_indices)
+    summary = fuzz_assignment(trials=300, seed=0)
+    assert len(forged) > 50
+    assert [v["starts"] for v in summary.violations] == [list(s) for s in forged]
+    assert {v["note"] for v in summary.violations} == {
+        "witness is not family arcs sharing no position"}
 
 
 def test_common_index_fuzz_finds_no_violations():

@@ -220,6 +220,21 @@ def test_conflict_bound_agrees_with_oracle(universe, k):
         SearchProblem(universe, k, "max_size_only")).max_size == max_size
 
 
+def test_oracle_walk_matches_the_subfamily_scan():
+    # the depth-first mask oracle against the descending-size scan
+    rng = random.Random("oracle-walk")
+    edge_cases = [((), 2), ((0,), 2), ((0, 1, 2), 3), ((1, 2, 4), 2)]
+    for members, k in edge_cases + [
+            (tuple(rng.sample(range(64), rng.randint(0, 9))), rng.randint(2, 4))
+            for _ in range(60)]:  # 0 is the empty set
+        size, hits = brute_max_kwise_masks(members, k)
+        as_sets = {m: frozenset(v for v in range(6) if m >> v & 1) for m in members}
+        want_size, want = brute_max_kwise(list(as_sets.values()), k)
+        assert size == want_size
+        assert len(hits) == len(want)
+        assert {frozenset(as_sets[m] for m in hit) for hit in hits} == set(want)
+
+
 def test_conflict_bound_fires_on_dense_draws():
     fired = {param.id.split("-")[0] for param in _dense_draws()
              if max_kwise_family(SearchProblem(*param.values)).conflict_prunes}
@@ -388,6 +403,26 @@ NON_INT_ARGUMENTS = [
 def test_search_entry_points_reject_non_int_arguments(call, args):
     with pytest.raises(ParameterError, match="must be an int"):
         call(*args)
+
+
+# every entry point that takes an arity k, from the arc layer up
+ARITY_CALLS = [
+    lambda k: assign_indices(IntervalFamily(6, 2, (1, 2)), k),
+    lambda k: common_index(IntervalFamily(6, 2, (1, 2)), k),
+    lambda k: saturation(identity_order(4), matching_universe(4, 5).star(8), k),
+    lambda k: kwise_witness(matching_universe(3, 3), k),
+    lambda k: max_kwise_family(SearchProblem(matching_universe(3, 3), k)),
+    lambda k: verify_extremal_characterization(3, 3, k),
+]
+
+
+@pytest.mark.parametrize("call", ARITY_CALLS)
+def test_arity_is_one_check_everywhere(call):
+    # k = 1 is a malformed arity before any regime check sees it
+    with pytest.raises(ParameterError, match="^k must be at least 2, got 1$"):
+        call(1)
+    with pytest.raises(ParameterError, match="^k must be an int, got True$"):
+        call(True)
 
 
 MALFORMED_SYMMETRY = [
