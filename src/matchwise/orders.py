@@ -36,18 +36,19 @@ class GoodCyclicOrder:
 
     def __post_init__(self) -> None:
         n, seq = self.n, self.seq
-        size = MatchingGraph(n).vertex_count
+        require_int("n", n)  # before the cache, where 3.0 would find 3
+        size, labels, partner = _layout(n)
         # bool and float labels compare equal to ints, so check the type too
         if (type(seq) is not tuple or len(seq) != size
-                or set(map(type, seq)) != {int} or set(seq) != set(range(1, size + 1))):
+                or set(map(type, seq)) != {int} or set(seq) != labels):
             raise ParameterError(f"seq must be a tuple permuting the int labels 1..{size}")
-        # in a permutation, labels n apart are partners; the partner map is
-        # an involution, so the first half of the positions suffices
-        for p in range(n):
-            if abs(seq[p] - seq[p + n]) != n:
-                raise ParameterError(
-                    f"partners must sit exactly {n} apart; "
-                    f"violated at position {p + 1}")
+        # the partner map is an involution, so the first half of the
+        # positions suffices
+        if seq[n:] != tuple(map(partner.__getitem__, seq[:n])):
+            p = next(p for p in range(n) if seq[p + n] != partner[seq[p]])
+            raise ParameterError(
+                f"partners must sit exactly {n} apart; "
+                f"violated at position {p + 1}")
         if seq[-1] != size:
             raise ParameterError(f"normalization pins vertex {size} to position {size}")
 
@@ -74,17 +75,27 @@ class GoodCyclicOrder:
     def deserialize(cls, n: int, text: str) -> "GoodCyclicOrder":
         try:
             seq = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
+        except (AttributeError, TypeError, ValueError):  # not text, or not int labels
             raise ParameterError(
                 f"expected comma-separated vertex labels, got {text!r}") from None
         return cls(n, seq)
+
+
+@functools.cache
+def _layout(n: int) -> tuple[int, frozenset[int], tuple[int, ...]]:
+    """M_n's vertex count, its labels 1..2n and its partner table
+    (partner[v] is v's partner; partner[0] is unused), built once per n.
+    Callers check that n is an int first."""
+    size = MatchingGraph(n).vertex_count
+    return (size, frozenset(range(1, size + 1)),
+            (0, *range(n + 1, size + 1), *range(1, n + 1)))
 
 
 def _complete(n: int, first: list[int] | tuple[int, ...]) -> GoodCyclicOrder:
     """The normalized good order with ``first`` at positions 1..n-1: vertex
     n at n, the partner of position p at p + n, hence vertex 2n at 2n."""
     half = (*first, n)
-    return GoodCyclicOrder(n, half + tuple(v + n if v <= n else v - n for v in half))
+    return GoodCyclicOrder(n, half + tuple(map(_layout(n)[2].__getitem__, half)))
 
 
 def identity_order(n: int) -> GoodCyclicOrder:
@@ -93,8 +104,9 @@ def identity_order(n: int) -> GoodCyclicOrder:
 
 def normalize_rotation(n: int, seq: tuple[int, ...]) -> GoodCyclicOrder:
     """Rotate an arbitrary good arrangement so vertex 2n lands at position 2n."""
+    require_int("n", n)
     size = 2 * n
-    if len(seq) != size or size not in seq:
+    if not isinstance(seq, (tuple, list)) or len(seq) != size or size not in seq:
         raise ParameterError(
             f"an arrangement has {size} positions, one of them vertex {size}")
     shift = size - 1 - seq.index(size)
@@ -132,6 +144,7 @@ def intervals(order: GoodCyclicOrder, r: int) -> list[tuple[int, int]]:
     """All 2n length-r windows as (start position, vertex bitmask), each
     the previous one minus the leaving vertex plus the entering one."""
     size = order.size
+    require_int("r", r)
     if not 1 <= r < size:
         raise ParameterError(f"window length must satisfy 1 <= r < {size}, got {r}")
     bits = [1 << (v - 1) for v in order.seq]
@@ -146,6 +159,7 @@ def intervals(order: GoodCyclicOrder, r: int) -> list[tuple[int, int]]:
 def is_interval(order: GoodCyclicOrder, mask: int) -> int | None:
     """Start of the (unique) window equal to ``mask``, else None."""
     size = order.size
+    require_int("mask", mask)
     if mask >> size:
         raise ParameterError(f"set contains vertices beyond {size}")
     count = mask.bit_count()
@@ -193,6 +207,7 @@ def counting_bound(n: int, r: int) -> int:
 def transpose(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     """Swap positions i, i+1 and their partner positions i+n, i+n+1."""
     n = order.n
+    require_int("i", i)
     if not 1 <= i <= n - 2:
         raise ParameterError(f"transposition index must be in 1..{n - 2}, got {i}")
     seq = order.seq
@@ -202,6 +217,7 @@ def transpose(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
 def swap_halves(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     """Exchange the vertices at positions i and n+i (a partner swap)."""
     n = order.n
+    require_int("i", i)
     if not 1 <= i <= n - 1:
         raise ParameterError(f"swap index must be in 1..{n - 1}, got {i}")
     seq = order.seq
@@ -220,6 +236,7 @@ def connectivity_check(n: int) -> ConnectivityReport:
 
     Connected means the move set reaches every normalized good order.
     """
+    MatchingGraph(n)
     if n > 6:
         raise CapacityError(f"connectivity check is supported for n <= 6, got n={n}")
     start = identity_order(n)
@@ -256,6 +273,8 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
     """
     graph = MatchingGraph(n)
     size = graph.vertex_count
+    require_int("r", r)
+    require_int("member_mask", member_mask)
     if not n <= r < size:
         raise ParameterError(f"need n <= r < 2n, got r={r}, n={n}")
     if member_mask.bit_count() != r:
@@ -379,7 +398,10 @@ def saturation_preserved_under_move(order: GoodCyclicOrder, move: tuple[str, int
     """
     n = order.n
     size = order.size
+    if not isinstance(move, (tuple, list)) or len(move) != 2:
+        raise ParameterError(f"a move is a (kind, index) pair, got {move!r}")
     kind, i = move
+    require_int("move index", i)
     r = fam.r
     if r < n:
         raise ParameterError(f"preservation analysis needs r >= n, got r={r}")

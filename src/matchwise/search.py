@@ -52,7 +52,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
+from itertools import chain, permutations, repeat
 
 from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
                      require_int)
@@ -216,19 +216,16 @@ class SearchResult:
     conflict_prunes: int
 
 
-def _orbit(x, gens, act, limit: float = float("inf")) -> set:
+def _orbit(x, gens, act) -> set:
     """Every image of ``x`` under the group ``gens`` generate, where
     ``act(y, g)`` is y's image under one generator: a breadth-first
-    search, since a finite group's elements are products of generators.
-    The search stops once it holds ``limit`` images."""
+    search, since a finite group's elements are products of generators."""
     seen, queue = {x}, [x]
     for y in queue:  # the loop reaches what is appended to the queue
         for g in gens:
             z = act(y, g)
             if z not in seen:
                 seen.add(z)
-                if len(seen) >= limit:
-                    return seen
                 queue.append(z)
     return seen
 
@@ -243,36 +240,65 @@ def _generator_rows(perms: tuple[tuple[int, ...], ...], masks: tuple[int, ...],
     """One row per permutation kept as a generator: row[i] is the index
     of the permutation's image of masks[i].
 
-    The permutations are read in order.  One whose vertex images are
-    already in the group the kept ones generate is skipped; any other
-    gets its row from ``apply_permutation``, which must land in the
-    universe, and is kept.  So every given permutation is checked,
-    directly or as a product of checked ones.  The closure stops at as
-    many elements as there are permutations: a part of the group skips
-    soundly, and a redundant permutation kept costs only its row.
+    ``perms`` is a tuple or list of int tuples or lists; the types of all
+    of them are checked first, in bulk.  They are then read in order.
+    One whose vertex images are already in the group the kept ones
+    generate is skipped, being a known permutation of 1..size; any other
+    must permute 1..size, gets its row from ``apply_permutation``, which
+    must land in the universe, and is kept.  So every given permutation
+    is checked, directly or as a product of checked ones.
+
+    The group is closed coset by coset (Dimino's algorithm).  When a
+    generator is kept, the group H held so far is copied; starting from
+    the identity, each coset representative rep is composed with each
+    kept generator t, and an image t(rep) not yet held brings in its
+    whole left coset t(rep)H, so each element costs one composition.
+    Cosets are added only while the group has fewer elements than there
+    are permutations: a part of the group skips soundly, and a redundant
+    permutation kept costs only its row.
     """
+    if not isinstance(perms, (tuple, list)):
+        raise ParameterError(
+            f"a symmetry is a tuple or list of permutations, got {perms!r}")
     if not perms:
         raise ParameterError("a symmetry needs at least one permutation")
+
+    def malformed(perm) -> ParameterError:
+        return ParameterError(
+            f"symmetry element {perm!r} is not a permutation of 1..{size}")
+
+    # bool and float labels compare equal to ints, so check the type too
+    if not (all(map(isinstance, perms, repeat((tuple, list))))
+            and set(map(type, chain.from_iterable(perms))) == {int}):
+        raise malformed(next(p for p in perms if not isinstance(p, (tuple, list))
+                             or set(map(type, p)) != {int}))
     labels = set(range(1, size + 1))
     index = {m: i for i, m in enumerate(masks)}
     # vertex images are 1-based; translate tables have 256 entries
     identity, pad = bytes(range(size + 1)), bytes(range(size + 1, 256))
     group, tables, rows = {identity}, [], []
     for perm in perms:
-        if (not isinstance(perm, (tuple, list)) or len(perm) != size
-                or set(map(type, perm)) != {int} or set(perm) != labels):
-            raise ParameterError(
-                f"symmetry element {perm!r} is not a permutation of 1..{size}")
-        images = b"\0" + bytes(perm)
+        try:
+            images = b"\0" + bytes(perm)
+        except ValueError:  # a label outside 0..255
+            raise malformed(perm) from None
         if images in group:
             continue
+        if len(perm) != size or set(perm) != labels:
+            raise malformed(perm)
         try:
             rows.append(bytes([index[apply_permutation(perm, m)] for m in masks]))
         except KeyError:
             raise ParameterError(
                 "symmetry does not preserve the universe") from None
         tables.append(images + pad)
-        group = _orbit(identity, tables, bytes.translate, len(perms))
+        old, reps = list(group), [identity]
+        for rep in reps:  # the loop reaches what is appended to reps
+            for t in tables:
+                e = rep.translate(t)
+                if len(group) < len(perms) and e not in group:
+                    group.update([h.translate(e + pad) for h in old])
+                    reps.append(e)
     return rows
 
 

@@ -131,6 +131,31 @@ def brute_max_kwise_masks(members: tuple[int, ...], k: int
     return best, hits
 
 
+# -- generators kept from a list of vertex permutations ----------------------
+
+def kept_generators(perms: list[tuple[int, ...]], size: int
+                    ) -> list[tuple[int, ...]]:
+    """The permutations of 1..size (perm[v-1] = image of v) that a reading
+    in order keeps: each one outside the group generated by those kept
+    before it (at first the identity alone), that group listed afresh by
+    a breadth-first search over compositions from the identity."""
+    identity = tuple(range(1, size + 1))
+    kept: list[tuple[int, ...]] = []
+    group = {identity}
+    for perm in map(tuple, perms):
+        if perm in group:
+            continue
+        kept.append(perm)
+        group, queue = {identity}, [identity]
+        for y in queue:
+            for g in kept:
+                z = tuple(g[v - 1] for v in y)
+                if z not in group:
+                    group.add(z)
+                    queue.append(z)
+    return kept
+
+
 # -- good cyclic orders from the definition ----------------------------------
 
 def brute_good_orders(n: int) -> list[tuple[int, ...]]:

@@ -411,6 +411,39 @@ def test_move_preservation_preconditions():
         saturation_preserved_under_move(identity_order(4), ("W", 3), r4, 9)
 
 
+# malformed arguments to the order layer: a wrong type, a bool or float
+# where an int belongs, or a move that is not a (kind, index) pair
+STAR_3_4 = matching_universe(3, 4).star(6)
+MALFORMED_ORDER_CALLS = [
+    pytest.param(lambda: intervals(identity_order(3), 2.0), id="intervals-float"),
+    pytest.param(lambda: intervals(identity_order(3), True), id="intervals-bool"),
+    pytest.param(lambda: is_interval(identity_order(3), 3.0), id="is_interval-float"),
+    pytest.param(lambda: transpose(identity_order(3), 1.0), id="transpose-float"),
+    pytest.param(lambda: swap_halves(identity_order(3), True), id="swap_halves-bool"),
+    pytest.param(lambda: connectivity_check(3.0), id="connectivity-float"),
+    pytest.param(lambda: construct_order_containing(3, 4, 60.0), id="construct-mask-float"),
+    pytest.param(lambda: construct_order_containing(3, 4.0, 60), id="construct-r-float"),
+    pytest.param(lambda: GoodCyclicOrder.deserialize(3, None), id="deserialize-none"),
+    pytest.param(lambda: GoodCyclicOrder.deserialize(3, b"1,2,3,4,5,6"),
+                 id="deserialize-bytes"),
+    pytest.param(lambda: GoodCyclicOrder([3], (1, 2, 3, 4, 5, 6)), id="order-n-list"),
+    pytest.param(lambda: normalize_rotation(2.0, (4, 1, 2, 3)), id="rotation-n-float"),
+    pytest.param(lambda: normalize_rotation(2, None), id="rotation-seq-none"),
+    pytest.param(lambda: saturation_preserved_under_move(
+        identity_order(3), ("T",), STAR_3_4, 4), id="move-short"),
+    pytest.param(lambda: saturation_preserved_under_move(
+        identity_order(3), "T1", STAR_3_4, 4), id="move-text"),
+    pytest.param(lambda: saturation_preserved_under_move(
+        identity_order(3), ("T", 1.0), STAR_3_4, 4), id="move-index-float"),
+]
+
+
+@pytest.mark.parametrize("call", MALFORMED_ORDER_CALLS)
+def test_order_layer_rejects_malformed_arguments(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
 def test_move_preservation_all_orders_all_moves():
     n = 3
     for r in (3, 4, 5):

@@ -18,7 +18,7 @@ from matchwise import (CapacityError, IntervalFamily, ParameterError,
                        max_kwise_family, orders_containing_count, run_fuzz,
                        saturation, verify_extremal_characterization)
 
-from oracles import brute_max_kwise, brute_max_kwise_masks
+from oracles import brute_max_kwise, brute_max_kwise_masks, kept_generators
 
 
 def as_frozen(fam: UniformFamily) -> frozenset[frozenset[int]]:
@@ -314,6 +314,10 @@ def test_symmetry_must_preserve_universe():
                 max_kwise_family(SearchProblem(holed, 3, mode, group))
     with pytest.raises(ParameterError):
         max_kwise_family(SearchProblem(universe, 3, symmetry=()))
+    # the container itself must be a tuple or list
+    for symmetry in (iter(group), 5):
+        with pytest.raises(ParameterError, match="tuple or list of permutations"):
+            max_kwise_family(SearchProblem(universe, 3, symmetry=symmetry))
 
 
 def test_symmetry_generates_its_group():
@@ -432,6 +436,9 @@ MALFORMED_SYMMETRY = [
     (1, 2, 3, 4, 5, 6.0),       # not an int
     (True, 2, 3, 4, 5, 6),      # not an int either
     (1, 1, 3, 4, 5, 6),         # not a permutation
+    (1, 2, 3, 4, 5, 300),       # a label beyond a byte
+    (-1, 2, 3, 4, 5, 6),        # a negative label
+    "123456",                   # not a tuple or list
 ]
 
 
@@ -443,6 +450,14 @@ def test_symmetry_elements_must_be_permutations(perm):
         for symmetry in ((perm,), group + (perm,)):
             with pytest.raises(ParameterError):
                 max_kwise_family(SearchProblem(universe, 3, mode, symmetry))
+
+
+def test_malformed_elements_are_reported_before_the_universe_is_checked():
+    # every element's types are checked before any is applied to the universe
+    with pytest.raises(ParameterError, match="is not a permutation of 1..6"):
+        max_kwise_family(SearchProblem(
+            UniformFamily.from_masks(6, 3, [7]), 3,
+            symmetry=((6, 2, 3, 4, 5, 1), (1, 2, 3, 4, 5, 6.0))))
 
 
 # explored_nodes is deterministic, so any change to it is a change to the
@@ -590,6 +605,27 @@ def test_matching_symmetry_generators_generate_the_group():
         closure = search._orbit(identity, gens,
                                 lambda p, g: tuple(g[v - 1] for v in p))
         assert closure == set(matching_symmetry(n)), n
+
+
+def test_generator_rows_keep_what_a_fresh_closure_keeps():
+    # the coset-by-coset closure keeps exactly the permutations that a
+    # closure listed afresh after each kept one keeps, and they generate
+    # the whole listed group
+    for n in range(2, 6):
+        group = matching_symmetry(n)
+        universe = matching_universe(n, n)
+        index = {m: i for i, m in enumerate(universe.sets)}
+        shuffled = list(group)
+        random.Random(n).shuffle(shuffled)
+        identity = tuple(range(1, 2 * n + 1))
+        for perms in (group, tuple(reversed(group)), tuple(shuffled)):
+            kept = kept_generators(perms, 2 * n)
+            rows = search._generator_rows(perms, universe.sets, 2 * n)
+            assert rows == [bytes([index[apply_permutation(g, m)]
+                                   for m in universe.sets]) for g in kept], n
+            closure = search._orbit(identity, kept,
+                                    lambda p, g: tuple(g[v - 1] for v in p))
+            assert closure == set(group), n
 
 
 def test_verify_reports_do_not_depend_on_the_generating_set(monkeypatch):
