@@ -9,7 +9,7 @@ The package is organized in four layers:
   end-index assignment certificate and common-index extraction;
 * :mod:`matchwise.orders`: good cyclic orders of V(M_n), window
   counting, moves, connectivity, explicit containing-order
-  construction, and saturation analysis;
+  construction, saturation analysis and the local move lemma check;
 * :mod:`matchwise.search`: exact maximum k-wise intersecting
   subfamilies by branch and bound, with symmetry reduction and the
   extremal characterization report.
@@ -26,13 +26,13 @@ from .families import (BoundValue, MatchingGraph, UniformFamily, binomial,
                        mask_of, matching_star_bound, matching_universe,
                        vertices_of)
 from .fuzz import FuzzSummary, fuzz_assignment, fuzz_common_index, run_fuzz
-from .orders import (ConnectivityReport, GoodCyclicOrder, MoveSaturationReport,
+from .orders import (ConnectivityReport, GoodCyclicOrder, MoveLemmaReport,
                      SaturationStatus, connectivity_check,
                      construct_order_containing, counting_bound,
                      enumerate_good_orders, good_order_count, identity_order,
-                     intervals, is_interval, normalize_rotation,
-                     orders_containing_count, saturation,
-                     saturation_preserved_under_move, swap_halves, transpose)
+                     intervals, is_interval, move_lemma_check,
+                     normalize_rotation, orders_containing_count, saturation,
+                     swap_halves, transpose)
 from .schema import SCHEMA_VERSION
 from .search import (ExtremalReport, SearchProblem, SearchResult,
                      apply_permutation, canonical_form, complete_symmetry,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssignmentReport", "BoundValue", "CapacityError", "ConnectivityReport",
     "ExtremalReport", "FuzzSummary", "GoodCyclicOrder", "IntegrityError",
-    "IntervalFamily", "MatchingGraph", "MatchwiseError", "MoveSaturationReport",
+    "IntervalFamily", "MatchingGraph", "MatchwiseError", "MoveLemmaReport",
     "ParameterError", "SCHEMA_VERSION", "SaturationStatus", "SearchProblem",
     "SearchResult", "UniformFamily", "apply_permutation", "assign_indices",
     "binomial", "canonical_form", "common_index", "complete_star_bound",
@@ -54,7 +54,7 @@ __all__ = [
     "good_order_count", "identity_order", "intervals", "is_interval",
     "is_k_wise_intersecting", "kwise_witness", "mask_of", "matching_star_bound",
     "matching_symmetry", "matching_symmetry_generators", "matching_universe",
-    "max_kwise_family", "normalize_rotation", "orders_containing_count",
-    "run_fuzz", "saturation", "saturation_preserved_under_move", "swap_halves",
+    "max_kwise_family", "move_lemma_check", "normalize_rotation",
+    "orders_containing_count", "run_fuzz", "saturation", "swap_halves",
     "transpose", "verify_extremal_characterization", "vertices_of",
 ]

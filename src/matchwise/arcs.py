@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import IntegrityError, ParameterError, require_arity
+from .errors import IntegrityError, ParameterError, require_arity, require_type
 
 
 def wrap(p: int, size: int) -> int:
@@ -223,6 +223,7 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
     under the input labelling; any fixed choice works, a deterministic
     one keeps reports reproducible.
     """
+    require_type("fam", fam, IntervalFamily)
     rotation, starts, held, full = _assign(fam, k)
     n, r = fam.size, fam.length
     if not full:
@@ -259,6 +260,7 @@ def common_index(fam: IntervalFamily, k: int) -> int:
     family not matching the arcs through x) raises IntegrityError,
     which signals that the preconditions did not actually hold.
     """
+    require_type("fam", fam, IntervalFamily)
     n, r = fam.size, fam.length
     require_arity(k)
     if k * r >= (k - 1) * n:

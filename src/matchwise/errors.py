@@ -34,6 +34,12 @@ def require_int(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be an int, got {value!r}")
 
 
+def require_type(name: str, value: object, cls: type) -> None:
+    """Raise ``ParameterError`` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ParameterError(f"{name} must be of type {cls.__name__}, got {value!r}")
+
+
 def require_arity(k: object) -> None:
     """Raise ``ParameterError`` unless the arity k is an int of at least 2."""
     require_int("k", k)

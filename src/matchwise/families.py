@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, ParameterError, require_arity, require_int
+from .errors import CapacityError, ParameterError, require_arity, require_int, require_type
 
 FamilyKind = str  # "independent" | "max_containing" | "union"
 
@@ -91,6 +91,7 @@ class MatchingGraph:
         return tuple((i, i + self.n) for i in range(1, self.n + 1))
 
     def partner(self, v: int) -> int:
+        require_int("v", v)
         if not 1 <= v <= 2 * self.n:
             raise ParameterError(f"vertex {v} outside 1..{2 * self.n}")
         return v + self.n if v <= self.n else v - self.n
@@ -193,6 +194,7 @@ class UniformFamily:
 
     def star(self, v: int) -> "UniformFamily":
         """The subfamily of members containing vertex ``v``."""
+        require_int("v", v)
         if not 1 <= v <= self.universe_size:
             raise ParameterError(f"vertex {v} outside 1..{self.universe_size}")
         bit = 1 << (v - 1)
@@ -250,7 +252,7 @@ class UniformFamily:
     def from_json(cls, text: str) -> "UniformFamily":
         try:
             obj = json.loads(text)
-        except ValueError:
+        except (TypeError, ValueError):  # not text, or not JSON
             raise ParameterError("family JSON does not parse") from None
         return cls.from_json_obj(obj)
 
@@ -356,6 +358,7 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     Members are scanned in ascending mask order with a running
     intersection, so violations terminate early.
     """
+    require_type("fam", fam, UniformFamily)
     require_arity(k)
     members = fam.sets
     full = (1 << fam.universe_size) - 1

@@ -78,6 +78,8 @@ def _instance(trial: int, fam: IntervalFamily, k: int, note: str) -> dict:
 
 def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
     """Drive the end-index assignment on random admissible instances."""
+    require_int("trials", trials)
+    require_int("seed", seed)  # None would seed from the OS
     rng = random.Random(seed)
     conforming = nonconforming = bounded = covering = 0
     violations: list[dict] = []
@@ -134,6 +136,8 @@ def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
 
 def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
     """Drive common-index extraction on star families and perturbations."""
+    require_int("trials", trials)
+    require_int("seed", seed)  # None would seed from the OS
     rng = random.Random(seed)
     conforming = nonconforming = rejections = 0
     violations: list[dict] = []

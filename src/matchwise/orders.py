@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .arcs import IntervalFamily, common_index, wrap
-from .errors import CapacityError, IntegrityError, ParameterError, require_arity, require_int
-from .families import MatchingGraph, UniformFamily
+from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
+                     require_int, require_type)
+from .families import MatchingGraph, UniformFamily, is_k_wise_intersecting
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,7 @@ def enumerate_good_orders(n: int):
 def intervals(order: GoodCyclicOrder, r: int) -> list[tuple[int, int]]:
     """All 2n length-r windows as (start position, vertex bitmask), each
     the previous one minus the leaving vertex plus the entering one."""
+    require_type("order", order, GoodCyclicOrder)
     size = order.size
     require_int("r", r)
     if not 1 <= r < size:
@@ -158,6 +160,7 @@ def intervals(order: GoodCyclicOrder, r: int) -> list[tuple[int, int]]:
 
 def is_interval(order: GoodCyclicOrder, mask: int) -> int | None:
     """Start of the (unique) window equal to ``mask``, else None."""
+    require_type("order", order, GoodCyclicOrder)
     size = order.size
     require_int("mask", mask)
     if mask >> size:
@@ -206,6 +209,7 @@ def counting_bound(n: int, r: int) -> int:
 
 def transpose(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     """Swap positions i, i+1 and their partner positions i+n, i+n+1."""
+    require_type("order", order, GoodCyclicOrder)
     n = order.n
     require_int("i", i)
     if not 1 <= i <= n - 2:
@@ -216,12 +220,22 @@ def transpose(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
 
 def swap_halves(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     """Exchange the vertices at positions i and n+i (a partner swap)."""
+    require_type("order", order, GoodCyclicOrder)
     n = order.n
     require_int("i", i)
     if not 1 <= i <= n - 1:
         raise ParameterError(f"swap index must be in 1..{n - 1}, got {i}")
     seq = order.seq
     return _complete(n, seq[:i - 1] + (seq[i + n - 1],) + seq[i:n - 1])
+
+
+def _moved(order: GoodCyclicOrder) -> list[GoodCyclicOrder]:
+    """The order's images under the moves T_1..T_(n-2) and W_(n-1)."""
+    n = order.n
+    images = [transpose(order, i) for i in range(1, n - 1)]
+    if n >= 2:
+        images.append(swap_halves(order, n - 1))
+    return images
 
 
 @dataclass(frozen=True)
@@ -245,10 +259,7 @@ def connectivity_check(n: int) -> ConnectivityReport:
     while frontier:
         nxt = []
         for order in frontier:
-            neighbours = [transpose(order, i) for i in range(1, n - 1)]
-            if n >= 2:
-                neighbours.append(swap_halves(order, n - 1))
-            for nb in neighbours:
+            for nb in _moved(order):
                 if nb.seq not in seen:
                     seen.add(nb.seq)
                     nxt.append(nb)
@@ -265,14 +276,14 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
     """A normalized good order in which the given member is a window.
 
     The member must belong to the union family, contain vertex 2n, and
-    have n <= r < 2n.  Three explicit constructions are used, keyed on
-    whether r > n and whether vertex n is in the member; full-edge
-    representatives and leftover single vertices are placed in
-    ascending label order so the result is deterministic.  The
-    postcondition is checked with :func:`is_interval`.
+    have n <= r < 2n.  Positions 1..n take the low endpoint of each of
+    its r-n full edges, then its 2n-r single vertices, both in ascending
+    label order; positions n+1..2n take their partners, so positions
+    1..r are the member.  Rotating vertex 2n to position 2n normalizes
+    the order.  The postcondition is checked with :func:`is_interval`.
     """
     graph = MatchingGraph(n)
-    size = graph.vertex_count
+    size, _, partner = _layout(n)
     require_int("r", r)
     require_int("member_mask", member_mask)
     if not n <= r < size:
@@ -285,27 +296,14 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
     if not graph.covers_all_edges(member_mask):
         raise ParameterError("member must meet every edge (union-family membership)")
 
-    def has(v: int) -> bool:
-        return bool(member_mask >> (v - 1) & 1)
-
-    full_low = [e for e in range(1, n + 1) if has(e) and has(e + n)]
-    singles = [v for v in range(1, size + 1)
-               if has(v) and not has(graph.partner(v))]
-
-    if r > n and has(n):
-        # the edge {n, 2n} is full; other full-edge lows first, then singles
-        first_half = [e for e in full_low if e != n] + sorted(singles)
-    elif r > n:
-        # vertex 2n is a single; remaining singles first, then full-edge lows
-        first_half = sorted(v for v in singles if v != size) + full_low
-    else:
-        # r == n: an independent transversal; low vertices first, then the
-        # low representatives of its high vertices
-        low = [v for v in range(1, n) if has(v)]
-        high = [v for v in range(n + 1, size) if has(v)]
-        first_half = low + [v - n for v in high]
-
-    order = _complete(n, first_half)
+    full = [e for e in range(1, n + 1) if member_mask >> (e - 1) & 1
+            and member_mask >> (e + n - 1) & 1]
+    singles = [v for v in range(1, size + 1) if member_mask >> (v - 1) & 1
+               and not member_mask >> (partner[v] - 1) & 1]
+    half = full + singles
+    seq = half + [partner[v] for v in half]
+    after = seq.index(size) + 1         # the position that comes to 1
+    order = _complete(n, [seq[(after + p) % size] for p in range(n - 1)])
     if is_interval(order, member_mask) is None:
         raise IntegrityError("constructed order does not contain the member as "
                              "a window; construction bug")
@@ -361,6 +359,8 @@ def saturation(order: GoodCyclicOrder, fam: UniformFamily,
     vertex) shared by all of them.  A count above r is impossible for
     a k-wise intersecting family, so it raises IntegrityError.
     """
+    require_type("order", order, GoodCyclicOrder)
+    require_type("fam", fam, UniformFamily)
     require_arity(k)  # before the cache, which takes 3.0 for 3
     r = fam.r
     member_set = _saturation_members(order.n, fam, k)
@@ -377,56 +377,53 @@ def saturation(order: GoodCyclicOrder, fam: UniformFamily,
 
 
 @dataclass(frozen=True)
-class MoveSaturationReport:
-    move: tuple[str, int]
-    before: SaturationStatus
-    after: SaturationStatus
+class MoveLemmaReport:
+    """Of ``cases`` (order, move, candidate centre) triples checked by
+    :func:`move_lemma_check`, ``survivors`` could not be ruled out; the
+    lemma holds when none survives."""
+
+    holds: bool
+    cases: int
+    survivors: int
 
 
-def saturation_preserved_under_move(order: GoodCyclicOrder, move: tuple[str, int],
-                                    fam: UniformFamily,
-                                    k: int) -> MoveSaturationReport:
-    """Apply a move to an order saturated at vertex 2n and re-check.
+def move_lemma_check(n: int, r: int, k: int) -> MoveLemmaReport:
+    """Check the local move lemma for every k-wise intersecting family.
 
-    ``move`` is ("T", i) with 1 <= i <= n-2 or ("W", n-1).  The input
-    order must be saturated with common vertex 2n, the family must
-    have n <= r with k*r < (k-1)*2n strictly, and the W move
-    additionally needs r > n.  If the moved order is saturated, its
-    common vertex is asserted to be 2n as well; a different vertex
-    would contradict the preservation guarantee and raises
-    IntegrityError.
+    The lemma: if an extremal family is centred at vertex 2n in a good
+    order σ, it is centred at 2n in μ(σ) for each move μ in
+    {T_1..T_(n-2), W_(n-1)}.  Such a family saturates every order, so
+    among σ's windows it holds exactly A, the r windows through 2n, and
+    among μ(σ)'s exactly B, the r windows through μ(σ)'s centre v'.  A
+    candidate v' != 2n is ruled out when A and B disagree on a window
+    the two orders share, or when A ∪ B is not k-wise intersecting; the
+    lemma holds when no (σ, μ, v') survives.
+
+    Needs n <= r < 2n (below r = n the lemma is false) and
+    k*r < (k-1)*2n strictly.  Supported for n <= 7.
     """
-    n = order.n
-    size = order.size
-    if not isinstance(move, (tuple, list)) or len(move) != 2:
-        raise ParameterError(f"a move is a (kind, index) pair, got {move!r}")
-    kind, i = move
-    require_int("move index", i)
-    r = fam.r
-    if r < n:
-        raise ParameterError(f"preservation analysis needs r >= n, got r={r}")
-    if kind == "T":
-        if not 1 <= i <= n - 2:
-            raise ParameterError(f"T move index must be in 1..{n - 2}, got {i}")
-        apply = lambda o: transpose(o, i)
-    elif kind == "W":
-        if i != n - 1:
-            raise ParameterError(
-                f"only the W move at index n-1={n - 1} preserves saturation, got {i}")
-        if r <= n:
-            raise ParameterError(f"the W move analysis needs r > n, got r={r}")
-        apply = lambda o: swap_halves(o, i)
-    else:
-        raise ParameterError(f"unknown move kind {kind!r}")
-
-    before = saturation(order, fam, k)
-    if not before.saturated or before.common_vertex != size:
+    size = MatchingGraph(n).vertex_count
+    require_int("r", r)
+    require_arity(k)
+    if not n <= r < size:
+        raise ParameterError(f"the move lemma needs n <= r < 2n, got r={r}, n={n}")
+    if k * r >= (k - 1) * size:
         raise ParameterError(
-            f"input order is not saturated at vertex {size} "
-            f"(status: {before})")
-    after = saturation(apply(order), fam, k)
-    if after.saturated and after.common_vertex != size:
-        raise IntegrityError(
-            f"moved order saturated at vertex {after.common_vertex}, "
-            f"expected {size}; preservation guarantee violated")
-    return MoveSaturationReport(move, before, after)
+            f"the move lemma needs k*r < (k-1)*2n strictly, got k={k}, r={r}, n={n}")
+    if n > 7:
+        raise CapacityError(f"the move lemma check is supported for n <= 7, got n={n}")
+    cases = survivors = 0
+    for order in enumerate_good_orders(n):
+        windows = {mask for _, mask in intervals(order, r)}
+        through_2n = {mask for mask in windows if mask >> (size - 1)}
+        for moved in _moved(order):
+            moved_windows = [mask for _, mask in intervals(moved, r)]
+            shared = windows.intersection(moved_windows)
+            expected = through_2n & shared
+            for v in range(1, size):
+                cases += 1
+                through_v = {mask for mask in moved_windows if mask >> (v - 1) & 1}
+                if (through_v & shared == expected and is_k_wise_intersecting(
+                        UniformFamily.from_masks(size, r, through_2n | through_v), k)):
+                    survivors += 1
+    return MoveLemmaReport(survivors == 0, cases, survivors)

@@ -55,7 +55,7 @@ from functools import partial
 from itertools import chain, permutations, repeat
 
 from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
-                     require_int)
+                     require_int, require_type)
 from .families import (MatchingGraph, UniformFamily, is_k_wise_intersecting,
                        matching_star_bound, matching_universe)
 from .schema import SCHEMA_VERSION
@@ -176,6 +176,7 @@ def canonical_form(fam: UniformFamily, n: int) -> UniformFamily:
     follows the orbit, not the group; idempotent by construction.
     Supported for n <= 6.
     """
+    require_type("fam", fam, UniformFamily)
     graph = MatchingGraph(n)
     if fam.universe_size != graph.vertex_count:
         raise ParameterError("family universe does not match M_n")
@@ -314,7 +315,9 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     generate, reads its orbits from the generators and never lists its
     elements.
     """
+    require_type("problem", problem, SearchProblem)
     universe, k, mode = problem.universe, problem.k, problem.mode
+    require_type("universe", universe, UniformFamily)
     require_arity(k)
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")

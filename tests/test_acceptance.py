@@ -16,9 +16,8 @@ from matchwise import (complete_star_bound, complete_uniform_family,
                        fuzz_assignment, fuzz_common_index, good_order_count,
                        intervals, is_interval, matching_star_bound,
                        matching_universe, max_kwise_family,
-                       orders_containing_count, saturation,
-                       saturation_preserved_under_move, SearchProblem,
-                       verify_extremal_characterization)
+                       move_lemma_check, orders_containing_count, saturation,
+                       SearchProblem, verify_extremal_characterization)
 
 from oracles import brute_max_kwise_masks
 
@@ -169,22 +168,22 @@ def test_a10_saturation_and_moves():
                 if not status.saturated or status.common_vertex != 2 * n:
                     ok = False
                     detail = f"unsaturated order at n={n}, r={r}"
-                    continue
-                for i in range(1, n - 1):
-                    rep = saturation_preserved_under_move(order, ("T", i), star, k)
-                    if not rep.after.saturated or rep.after.common_vertex != 2 * n:
-                        ok = False
-                        detail = f"T{i} broke saturation at n={n}, r={r}"
-                if r > n and n >= 2:
-                    rep = saturation_preserved_under_move(order, ("W", n - 1),
-                                                          star, k)
-                    if not rep.after.saturated or rep.after.common_vertex != 2 * n:
-                        ok = False
-                        detail = f"W{n-1} broke saturation at n={n}, r={r}"
+    # the local move lemma for every family at once, at the smallest
+    # strict k, which covers every larger k
+    cases = 0
+    for n in range(2, 6):
+        for r in range(n, 2 * n):
+            k = 2 * n // (2 * n - r) + 1
+            report = move_lemma_check(n, r, k)
+            cases += report.cases
+            if (report.survivors
+                    or report.cases != good_order_count(n) * (n - 1) * (2 * n - 1)):
+                ok = False
+                detail = f"move lemma at n={n}, r={r}, k={k}: {report}"
     connectivity = all(connectivity_check(n).connected for n in range(1, 6))
     ok = ok and connectivity
-    check("A10 saturation, moves, connectivity (n<=4, orbit n<=5)", 60.0, t0,
-          ok, detail or f"connectivity n<=5: {connectivity}")
+    check("A10 saturation (n<=4), move lemma (n<=5), connectivity (n<=5)", 60.0,
+          t0, ok, detail or f"{cases} move cases, connectivity n<=5: {connectivity}")
 
 
 def test_a11_construction_coverage():

@@ -364,6 +364,7 @@ def test_from_text_rejects_malformed_labels():
     '{"n": 2, "r": 2, "sets": 5}',
     '{"n": 2, "r": 2, "sets": [[1, "a"]]}',
     '{"n": 2, "r": 1, "sets": [[true]]}',
+    None,
 ])
 def test_from_json_rejects_malformed_input(text):
     with pytest.raises(ParameterError):

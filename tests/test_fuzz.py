@@ -78,6 +78,14 @@ def test_run_fuzz_validation():
         run_fuzz("nonsense", 10)
 
 
+@pytest.mark.parametrize("fuzz", [fuzz_assignment, fuzz_common_index])
+@pytest.mark.parametrize("trials, seed", [(2.5, 0), (10, None), (10, 1.5), (10, "7")])
+def test_fuzz_needs_int_trials_and_seed(fuzz, trials, seed):
+    # a seed of None would draw from the OS and break reproducibility
+    with pytest.raises(ParameterError, match="must be an int"):
+        fuzz(trials, seed)
+
+
 def test_summary_json_shape():
     obj = run_fuzz("common-index", 50, seed=1).to_json_obj()
     for field in ("schema_version", "target", "trials", "seed", "conforming",

@@ -5,10 +5,9 @@ from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
                        connectivity_check, construct_order_containing, counting_bound,
                        enumerate_good_orders, good_order_count, identity_order,
                        intervals, is_interval, mask_of, matching_star_bound,
-                       matching_universe, normalize_rotation,
-                       orders_containing_count, saturation,
-                       saturation_preserved_under_move, swap_halves, transpose,
-                       vertices_of)
+                       matching_universe, move_lemma_check, normalize_rotation,
+                       orders_containing_count, saturation, swap_halves,
+                       transpose, vertices_of)
 from matchwise import orders
 
 from oracles import brute_good_orders, windows_of
@@ -389,31 +388,33 @@ def test_saturation_checks_a_family_once(monkeypatch):
     assert calls == len(star) == 160
 
 
-def test_move_preservation_for_stars():
-    star = matching_universe(4, 5).star(8)
-    rep = saturation_preserved_under_move(identity_order(4), ("T", 1), star, 3)
-    assert rep.before.common_vertex == 8 and rep.after.common_vertex == 8
-    rep = saturation_preserved_under_move(identity_order(4), ("W", 3), star, 3)
-    assert rep.after.saturated and rep.after.common_vertex == 8
+# ---------------------------------------------------------------------------
+# the local move lemma
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, r, k, survivors", [(3, 3, 3, 8), (3, 4, 4, 16)])
+def test_move_lemma_needs_the_kwise_union_test(monkeypatch, n, r, k, survivors):
+    # agreement on the shared windows alone leaves candidate centres
+    monkeypatch.setattr(orders, "is_k_wise_intersecting", lambda fam, k: True)
+    report = move_lemma_check(n, r, k)
+    assert not report.holds
+    assert (report.cases, report.survivors) == (80, survivors)
 
 
-def test_move_preservation_preconditions():
-    star = matching_universe(4, 5).star(8)
-    empty = UniformFamily(8, 5, ())
-    with pytest.raises(ParameterError):
-        saturation_preserved_under_move(identity_order(4), ("T", 1), empty, 3)
-    with pytest.raises(ParameterError):
-        saturation_preserved_under_move(identity_order(4), ("W", 2), star, 3)
-    with pytest.raises(ParameterError):
-        saturation_preserved_under_move(identity_order(4), ("T", 3), star, 3)
-    r4 = matching_universe(4, 4).star(8)
-    with pytest.raises(ParameterError):
-        saturation_preserved_under_move(identity_order(4), ("W", 3), r4, 9)
+@pytest.mark.parametrize("n, r, k, error", [
+    (3, 2, 3, ParameterError),          # r < n, where the lemma is false
+    (3, 6, 7, ParameterError),          # r = 2n
+    (3, 4, 3, ParameterError),          # boundary: k*r = (k-1)*2n
+    (3, 4.0, 4, ParameterError),
+    (8, 8, 3, CapacityError),
+])
+def test_move_lemma_check_preconditions(n, r, k, error):
+    with pytest.raises(error):
+        move_lemma_check(n, r, k)
 
 
-# malformed arguments to the order layer: a wrong type, a bool or float
-# where an int belongs, or a move that is not a (kind, index) pair
-STAR_3_4 = matching_universe(3, 4).star(6)
+# malformed arguments to the order layer: a wrong type, or a bool or
+# float where an int belongs
 MALFORMED_ORDER_CALLS = [
     pytest.param(lambda: intervals(identity_order(3), 2.0), id="intervals-float"),
     pytest.param(lambda: intervals(identity_order(3), True), id="intervals-bool"),
@@ -429,12 +430,6 @@ MALFORMED_ORDER_CALLS = [
     pytest.param(lambda: GoodCyclicOrder([3], (1, 2, 3, 4, 5, 6)), id="order-n-list"),
     pytest.param(lambda: normalize_rotation(2.0, (4, 1, 2, 3)), id="rotation-n-float"),
     pytest.param(lambda: normalize_rotation(2, None), id="rotation-seq-none"),
-    pytest.param(lambda: saturation_preserved_under_move(
-        identity_order(3), ("T",), STAR_3_4, 4), id="move-short"),
-    pytest.param(lambda: saturation_preserved_under_move(
-        identity_order(3), "T1", STAR_3_4, 4), id="move-text"),
-    pytest.param(lambda: saturation_preserved_under_move(
-        identity_order(3), ("T", 1.0), STAR_3_4, 4), id="move-index-float"),
 ]
 
 
@@ -442,20 +437,6 @@ MALFORMED_ORDER_CALLS = [
 def test_order_layer_rejects_malformed_arguments(call):
     with pytest.raises(ParameterError):
         call()
-
-
-def test_move_preservation_all_orders_all_moves():
-    n = 3
-    for r in (3, 4, 5):
-        star = matching_universe(n, r).star(2 * n)
-        k = 2 * n + 1
-        for order in enumerate_good_orders(n):
-            for i in range(1, n - 1):
-                rep = saturation_preserved_under_move(order, ("T", i), star, k)
-                assert rep.after.saturated and rep.after.common_vertex == 2 * n
-            if r > n:
-                rep = saturation_preserved_under_move(order, ("W", n - 1), star, k)
-                assert rep.after.saturated and rep.after.common_vertex == 2 * n
 
 
 def test_small_case_r_just_above_n_exhaustive():
@@ -468,11 +449,7 @@ def test_small_case_r_just_above_n_exhaustive():
         star = matching_universe(n, r).star(2 * n)
         for order in enumerate_good_orders(n):
             assert saturation(order, star, k).common_vertex == 2 * n
-            for i in range(1, n - 1):
-                rep = saturation_preserved_under_move(order, ("T", i), star, k)
-                assert rep.after.saturated and rep.after.common_vertex == 2 * n
-            rep = saturation_preserved_under_move(order, ("W", n - 1), star, k)
-            assert rep.after.saturated and rep.after.common_vertex == 2 * n
+        assert move_lemma_check(n, r, k).holds
     # at those parameters the maximum families are exactly the stars
     for n, r, k in [(3, 4, 4), (3, 4, 5)]:
         report = verify_extremal_characterization(n, r, k)

@@ -6,17 +6,20 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matchwise
 from matchwise import search
-from matchwise import (CapacityError, IntervalFamily, ParameterError,
-                       SearchProblem, UniformFamily, apply_permutation,
-                       assign_indices, binomial, canonical_form, common_index,
-                       complete_star_bound, complete_symmetry,
-                       complete_uniform_family, enumerate_family,
-                       identity_order, is_k_wise_intersecting, kwise_witness,
+from matchwise import (CapacityError, IntervalFamily, MatchingGraph,
+                       ParameterError, SearchProblem, UniformFamily,
+                       apply_permutation, assign_indices, binomial,
+                       canonical_form, common_index, complete_star_bound,
+                       complete_symmetry, complete_uniform_family,
+                       enumerate_family, identity_order, intervals,
+                       is_interval, is_k_wise_intersecting, kwise_witness,
                        mask_of, matching_star_bound, matching_symmetry,
                        matching_symmetry_generators, matching_universe,
-                       max_kwise_family, orders_containing_count, run_fuzz,
-                       saturation, verify_extremal_characterization)
+                       max_kwise_family, move_lemma_check,
+                       orders_containing_count, run_fuzz, saturation,
+                       swap_halves, transpose, verify_extremal_characterization)
 
 from oracles import brute_max_kwise, brute_max_kwise_masks, kept_generators
 
@@ -400,6 +403,10 @@ NON_INT_ARGUMENTS = [
     (binomial, (4.0, 2)),
     (orders_containing_count, (3, 3.0)),
     (lambda trials: run_fuzz("assignment", trials), (3.0,)),
+    (lambda v: matching_universe(3, 3).star(v), (2.0,)),
+    (lambda v: matching_universe(3, 3).star(v), (True,)),
+    (MatchingGraph(3).partner, (2.0,)),
+    (MatchingGraph(3).partner, ("a",)),
 ]
 
 
@@ -417,6 +424,7 @@ ARITY_CALLS = [
     lambda k: kwise_witness(matching_universe(3, 3), k),
     lambda k: max_kwise_family(SearchProblem(matching_universe(3, 3), k)),
     lambda k: verify_extremal_characterization(3, 3, k),
+    lambda k: move_lemma_check(3, 4, k),
 ]
 
 
@@ -427,6 +435,36 @@ def test_arity_is_one_check_everywhere(call):
         call(1)
     with pytest.raises(ParameterError, match="^k must be an int, got True$"):
         call(True)
+
+
+# every entry point that takes a library object, from the arc layer up
+WRONG_OBJECT_TYPES = [
+    lambda: intervals(None, 2),
+    lambda: is_interval(None, 3),
+    lambda: transpose(None, 1),
+    lambda: swap_halves(None, 1),
+    lambda: saturation(None, matching_universe(3, 4).star(6), 3),
+    lambda: saturation(identity_order(3), None, 3),
+    lambda: assign_indices(None, 3),
+    lambda: common_index(None, 3),
+    lambda: kwise_witness(None, 3),
+    lambda: is_k_wise_intersecting((3, 5), 2),
+    lambda: canonical_form(None, 3),
+    lambda: max_kwise_family(SearchProblem(None, 3)),
+    lambda: max_kwise_family(None),
+]
+
+
+@pytest.mark.parametrize("call", WRONG_OBJECT_TYPES)
+def test_entry_points_reject_wrong_object_types(call):
+    with pytest.raises(ParameterError, match="must be of type"):
+        call()
+
+
+def test_every_public_name_resolves_once():
+    assert len(set(matchwise.__all__)) == len(matchwise.__all__)
+    for name in matchwise.__all__:
+        assert hasattr(matchwise, name), name
 
 
 MALFORMED_SYMMETRY = [
