@@ -9,7 +9,8 @@ The package is organized in four layers:
   end-index assignment certificate and common-index extraction;
 * :mod:`matchwise.orders`: good cyclic orders of V(M_n), window
   counting, moves, connectivity, explicit containing-order
-  construction, saturation analysis and the local move lemma check;
+  construction, saturation analysis (one order, or every order in one
+  sweep) and the local move lemma check;
 * :mod:`matchwise.search`: exact maximum k-wise intersecting
   subfamilies by branch and bound, with symmetry reduction and the
   extremal characterization report.
@@ -32,7 +33,7 @@ from .orders import (ConnectivityReport, GoodCyclicOrder, MoveLemmaReport,
                      enumerate_good_orders, good_order_count, identity_order,
                      intervals, is_interval, move_lemma_check,
                      normalize_rotation, orders_containing_count, saturation,
-                     swap_halves, transpose)
+                     saturation_sweep, swap_halves, transpose)
 from .schema import SCHEMA_VERSION
 from .search import (ExtremalReport, SearchProblem, SearchResult,
                      apply_permutation, canonical_form, complete_symmetry,
@@ -55,6 +56,7 @@ __all__ = [
     "is_k_wise_intersecting", "kwise_witness", "mask_of", "matching_star_bound",
     "matching_symmetry", "matching_symmetry_generators", "matching_universe",
     "max_kwise_family", "move_lemma_check", "normalize_rotation",
-    "orders_containing_count", "run_fuzz", "saturation", "swap_halves",
-    "transpose", "verify_extremal_characterization", "vertices_of",
+    "orders_containing_count", "run_fuzz", "saturation", "saturation_sweep",
+    "swap_halves", "transpose", "verify_extremal_characterization",
+    "vertices_of",
 ]

@@ -18,7 +18,7 @@ from .errors import CapacityError, IntegrityError, MatchwiseError, ParameterErro
 from .families import enumerate_family, matching_star_bound, matching_universe
 from .fuzz import run_fuzz
 from .orders import (connectivity_check, construct_order_containing,
-                     enumerate_good_orders, good_order_count, saturation)
+                     enumerate_good_orders, good_order_count, saturation_sweep)
 from .schema import SCHEMA_VERSION
 from .search import verify_extremal_characterization
 
@@ -162,12 +162,9 @@ def _cmd_circle(args) -> tuple[str, bool]:
         r = args.r
         k = args.k if args.k is not None else 2 * n + 1
         star = matching_universe(n, r).star(2 * n)
-        total = saturated = 0
-        for order in enumerate_good_orders(n):
-            total += 1
-            status = saturation(order, star, k)
-            if status.saturated and status.common_vertex == 2 * n:
-                saturated += 1
+        statuses = saturation_sweep(n, star, k)
+        total = len(statuses)
+        saturated = sum(st.saturated and st.common_vertex == 2 * n for st in statuses)
         obj = {"action": "saturate", "n": n, "r": r, "k": k,
                "orders": total, "saturated": saturated,
                "ok": saturated == total}

@@ -34,6 +34,14 @@ def require_int(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be an int, got {value!r}")
 
 
+def require_mask(value: object) -> None:
+    """Raise ``ParameterError`` unless ``value`` is a nonnegative int
+    bitmask (a negative int has infinitely many set bits)."""
+    require_int("mask", value)
+    if value < 0:
+        raise ParameterError(f"a mask is a nonnegative int, got {value}")
+
+
 def require_type(name: str, value: object, cls: type) -> None:
     """Raise ``ParameterError`` unless ``value`` is an instance of ``cls``."""
     if not isinstance(value, cls):

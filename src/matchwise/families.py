@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, ParameterError, require_arity, require_int, require_type
+from .errors import (CapacityError, ParameterError, require_arity, require_int, require_mask,
+                     require_type)
 
 FamilyKind = str  # "independent" | "max_containing" | "union"
 
@@ -56,6 +57,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into ascending vertex labels."""
+    require_mask(mask)
     out = []
     v = 1
     while mask:

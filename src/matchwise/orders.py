@@ -5,9 +5,11 @@ pair of partners sits exactly n positions apart.  Rotation classes are
 represented uniquely by pinning vertex 2n to position 2n, which forces
 vertex n to position n; there are 2^(n-1) * (n-1)! such normalized
 orders, each fixed by its positions 1..n-1; :func:`_complete` alone
-lays out the rest.  Every length-r window of a good order (all 2n are
-listed in one rolling pass) is a member of the union family: an
-independent set when r <= n, a covering set when r >= n.
+lays out the rest.  The sweeps over every order read them from one
+per-n table of their seqs, built once from the enumerator, and the
+moves act on seqs as position maps.  Every length-r window of a good
+order (all 2n are listed in one rolling pass) is a member of the union
+family: an independent set when r <= n, a covering set when r >= n.
 
 Saturation ties the two layers together: an order is saturated by a
 family when the maximum possible number (r) of family members appear
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -121,6 +124,12 @@ def good_order_count(n: int) -> int:
     return (1 << (n - 1)) * math.factorial(n - 1)
 
 
+def _require_enumerable(n: int) -> None:
+    MatchingGraph(n)
+    if n > 8:
+        raise CapacityError(f"enumeration is supported for n <= 8, got n={n}")
+
+
 def enumerate_good_orders(n: int):
     """Yield every normalized good cyclic order exactly once.
 
@@ -128,13 +137,29 @@ def enumerate_good_orders(n: int):
     (a permutation choosing the slot, one bit choosing the endpoint);
     the second half is forced by the partner constraint.
     """
-    MatchingGraph(n)
-    if n > 8:
-        raise CapacityError(f"enumeration is supported for n <= 8, got n={n}")
+    _require_enumerable(n)
     for perm in permutations(range(1, n)):
         for bits in range(1 << (n - 1)):
             yield _complete(n, [edge + n if bits >> slot & 1 else edge
                                 for slot, edge in enumerate(perm)])
+
+
+@functools.lru_cache(maxsize=4)
+def _order_table(n: int) -> bytes:
+    """The seqs of :func:`enumerate_good_orders`, in its order, one after
+    another: order i is ``table[2n*i : 2n*(i+1)]`` (2n <= 16, so a label
+    fits a byte).  Each order is validated as a ``GoodCyclicOrder`` while
+    the table is built.  46 KB at n = 6, 645 KB at n = 7, 10 MB at n = 8.
+    Callers check n first."""
+    return b"".join(bytes(order.seq) for order in enumerate_good_orders(n))
+
+
+def _table_seqs(n: int):
+    """Yield the seqs of the order table, in enumeration order, as bytes
+    (which index and iterate as the int labels)."""
+    table, size = _order_table(n), 2 * n
+    for i in range(0, len(table), size):
+        yield table[i:i + size]
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +174,19 @@ def intervals(order: GoodCyclicOrder, r: int) -> list[tuple[int, int]]:
     require_int("r", r)
     if not 1 <= r < size:
         raise ParameterError(f"window length must satisfy 1 <= r < {size}, got {r}")
-    bits = [1 << (v - 1) for v in order.seq]
+    return list(enumerate(_windows(order.seq, r), 1))
+
+
+def _windows(seq, r: int) -> list[int]:
+    """The masks of the length-r windows of ``seq`` (a tuple or a table
+    row), the window starting at position p at index p-1: each the
+    previous one minus the leaving vertex plus the entering one."""
+    bits = [1 << v - 1 for v in seq]
     mask = sum(bits[:r])            # distinct bits, so the sum is their union
     out = []
-    for i in range(size):
-        out.append((i + 1, mask))
-        mask ^= bits[i] ^ bits[(i + r) % size]
+    for leaving, entering in zip(bits, bits[r:] + bits[:r]):
+        out.append(mask)
+        mask ^= leaving ^ entering
     return out
 
 
@@ -207,6 +239,34 @@ def counting_bound(n: int, r: int) -> int:
 # moves
 # ---------------------------------------------------------------------------
 
+def _position_map(n: int, *swaps: tuple[int, int]) -> operator.itemgetter:
+    """The move exchanging each pair of positions in ``swaps`` as a map
+    from a seq to the moved seq (a tuple)."""
+    source = list(range(2 * n))
+    for p, q in swaps:
+        source[p - 1], source[q - 1] = source[q - 1], source[p - 1]
+    return operator.itemgetter(*source)
+
+
+@functools.cache
+def _move_maps(n: int) -> tuple[operator.itemgetter, ...]:
+    """The moves T_1..T_(n-2), then W_(n-1), as position maps, built once
+    per n.  Callers check n first.
+
+    Each map is validated once, on the identity order: a position map
+    that takes it to a normalized good order fixes position 2n and moves
+    positions p and p+n together, so it takes every normalized good
+    order to one.
+    """
+    maps = [_position_map(n, (i, i + 1), (i + n, i + n + 1)) for i in range(1, n - 1)]
+    if n >= 2:
+        maps.append(_position_map(n, (n - 1, 2 * n - 1)))
+    identity = identity_order(n).seq
+    for move in maps:
+        GoodCyclicOrder(n, move(identity))
+    return tuple(maps)
+
+
 def transpose(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     """Swap positions i, i+1 and their partner positions i+n, i+n+1."""
     require_type("order", order, GoodCyclicOrder)
@@ -214,8 +274,7 @@ def transpose(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     require_int("i", i)
     if not 1 <= i <= n - 2:
         raise ParameterError(f"transposition index must be in 1..{n - 2}, got {i}")
-    seq = order.seq
-    return _complete(n, seq[:i - 1] + (seq[i], seq[i - 1]) + seq[i + 1:n - 1])
+    return GoodCyclicOrder(n, _move_maps(n)[i - 1](order.seq))
 
 
 def swap_halves(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
@@ -225,17 +284,7 @@ def swap_halves(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     require_int("i", i)
     if not 1 <= i <= n - 1:
         raise ParameterError(f"swap index must be in 1..{n - 1}, got {i}")
-    seq = order.seq
-    return _complete(n, seq[:i - 1] + (seq[i + n - 1],) + seq[i:n - 1])
-
-
-def _moved(order: GoodCyclicOrder) -> list[GoodCyclicOrder]:
-    """The order's images under the moves T_1..T_(n-2) and W_(n-1)."""
-    n = order.n
-    images = [transpose(order, i) for i in range(1, n - 1)]
-    if n >= 2:
-        images.append(swap_halves(order, n - 1))
-    return images
+    return GoodCyclicOrder(n, _position_map(n, (i, i + n))(order.seq))
 
 
 @dataclass(frozen=True)
@@ -249,20 +298,24 @@ def connectivity_check(n: int) -> ConnectivityReport:
     """BFS from the identity order under {T_1..T_(n-2), W_(n-1)}.
 
     Connected means the move set reaches every normalized good order.
+    The walk moves seqs; each seq it has not seen is validated as a
+    ``GoodCyclicOrder`` before it joins the orbit.
     """
     MatchingGraph(n)
     if n > 6:
         raise CapacityError(f"connectivity check is supported for n <= 6, got n={n}")
-    start = identity_order(n)
-    seen = {start.seq}
-    frontier = [start]
+    moves = _move_maps(n)
+    frontier = [identity_order(n).seq]
+    seen = set(frontier)
     while frontier:
         nxt = []
-        for order in frontier:
-            for nb in _moved(order):
-                if nb.seq not in seen:
-                    seen.add(nb.seq)
-                    nxt.append(nb)
+        for seq in frontier:
+            for move in moves:
+                image = move(seq)
+                if image not in seen:
+                    GoodCyclicOrder(n, image)
+                    seen.add(image)
+                    nxt.append(image)
         frontier = nxt
     expected = good_order_count(n)
     return ConnectivityReport(len(seen) == expected, len(seen), expected)
@@ -347,6 +400,17 @@ def _saturation_members(n: int, fam: UniformFamily, k: int) -> frozenset:
     return frozenset(fam.sets)
 
 
+def _member_starts(seq, r: int, members: frozenset) -> tuple[int, ...]:
+    """The ascending starts of the windows of ``seq`` that are members;
+    more than r raises IntegrityError."""
+    starts = tuple(p for p, mask in enumerate(_windows(seq, r), 1) if mask in members)
+    if len(starts) > r:
+        raise IntegrityError(
+            f"{len(starts)} members appear as windows but at most {r} are "
+            "possible for a k-wise intersecting family")
+    return starts
+
+
 def saturation(order: GoodCyclicOrder, fam: UniformFamily,
                k: int) -> SaturationStatus:
     """Count family members appearing as windows of the order.
@@ -363,17 +427,39 @@ def saturation(order: GoodCyclicOrder, fam: UniformFamily,
     require_type("fam", fam, UniformFamily)
     require_arity(k)  # before the cache, which takes 3.0 for 3
     r = fam.r
-    member_set = _saturation_members(order.n, fam, k)
-    starts = [start for start, mask in intervals(order, r) if mask in member_set]
-    if len(starts) > r:
-        raise IntegrityError(
-            f"{len(starts)} members appear as windows but at most {r} are "
-            "possible for a k-wise intersecting family")
+    starts = _member_starts(order.seq, r, _saturation_members(order.n, fam, k))
     if len(starts) < r:
         return SaturationStatus(False, len(starts))
-    arc_fam = IntervalFamily(order.size, r, tuple(starts))  # ascending, distinct
-    position = common_index(arc_fam, k)
+    position = common_index(IntervalFamily(order.size, r, starts), k)
     return SaturationStatus(True, r, position, order.vertex_at(position))
+
+
+def saturation_sweep(n: int, fam: UniformFamily, k: int) -> tuple[SaturationStatus, ...]:
+    """``saturation(order, fam, k)`` for every order of
+    :func:`enumerate_good_orders`, in its order, with the same outcomes
+    and exceptions.
+
+    The arguments and the family are checked once, the orders are read
+    from the per-n order table, and :func:`common_index` (a function of
+    the member starts alone) runs once per distinct tuple of starts.
+    """
+    _require_enumerable(n)
+    require_type("fam", fam, UniformFamily)
+    require_arity(k)
+    members = _saturation_members(n, fam, k)
+    size, r = 2 * n, fam.r
+    common = {}                     # member starts -> their common position
+    out = []
+    for seq in _table_seqs(n):
+        starts = _member_starts(seq, r, members)
+        if len(starts) < r:
+            out.append(SaturationStatus(False, len(starts)))
+            continue
+        if starts not in common:
+            common[starts] = common_index(IntervalFamily(size, r, starts), k)
+        position = common[starts]
+        out.append(SaturationStatus(True, r, position, seq[position - 1]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -400,7 +486,8 @@ def move_lemma_check(n: int, r: int, k: int) -> MoveLemmaReport:
     lemma holds when no (σ, μ, v') survives.
 
     Needs n <= r < 2n (below r = n the lemma is false) and
-    k*r < (k-1)*2n strictly.  Supported for n <= 7.
+    k*r < (k-1)*2n strictly.  Supported for n <= 7.  σ runs over the
+    per-n order table.
     """
     size = MatchingGraph(n).vertex_count
     require_int("r", r)
@@ -413,11 +500,12 @@ def move_lemma_check(n: int, r: int, k: int) -> MoveLemmaReport:
     if n > 7:
         raise CapacityError(f"the move lemma check is supported for n <= 7, got n={n}")
     cases = survivors = 0
-    for order in enumerate_good_orders(n):
-        windows = {mask for _, mask in intervals(order, r)}
+    moves = _move_maps(n)
+    for seq in _table_seqs(n):
+        windows = set(_windows(seq, r))
         through_2n = {mask for mask in windows if mask >> (size - 1)}
-        for moved in _moved(order):
-            moved_windows = [mask for _, mask in intervals(moved, r)]
+        for move in moves:
+            moved_windows = _windows(move(seq), r)
             shared = windows.intersection(moved_windows)
             expected = through_2n & shared
             for v in range(1, size):

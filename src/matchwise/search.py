@@ -55,7 +55,7 @@ from functools import partial
 from itertools import chain, permutations, repeat
 
 from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
-                     require_int, require_type)
+                     require_int, require_mask, require_type)
 from .families import (MatchingGraph, UniformFamily, is_k_wise_intersecting,
                        matching_star_bound, matching_universe)
 from .schema import SCHEMA_VERSION
@@ -75,12 +75,24 @@ _LISTED_MAX_N = 6
 # ---------------------------------------------------------------------------
 
 def apply_permutation(perm: tuple[int, ...], mask: int) -> int:
-    """Apply a vertex permutation (perm[v-1] = image of v) to a bitmask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (perm[low.bit_length() - 1] - 1)
-        mask ^= low
+    """Apply a vertex permutation (perm[v-1] = image of v) to a bitmask.
+
+    ``perm`` is trusted to permute 1..len(perm): the search checks each
+    permutation once, where it enters, not on every call.  A mask that
+    is not a nonnegative int, or a perm that has no int label >= 1 for
+    one of the mask's vertices, raises ``ParameterError``.
+    """
+    require_mask(mask)
+    out, rest = 0, mask
+    try:
+        while rest:
+            low = rest & -rest
+            out |= 1 << (perm[low.bit_length() - 1] - 1)
+            rest ^= low
+    except (TypeError, IndexError, ValueError):
+        raise ParameterError(
+            f"cannot apply {perm!r} to mask {mask:#x}: it must list an int "
+            "label >= 1 for each vertex of the mask") from None
     return out
 
 

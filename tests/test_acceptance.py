@@ -17,7 +17,8 @@ from matchwise import (complete_star_bound, complete_uniform_family,
                        intervals, is_interval, matching_star_bound,
                        matching_universe, max_kwise_family,
                        move_lemma_check, orders_containing_count, saturation,
-                       SearchProblem, verify_extremal_characterization)
+                       saturation_sweep, SearchProblem,
+                       verify_extremal_characterization)
 
 from oracles import brute_max_kwise_masks
 
@@ -159,15 +160,20 @@ def test_a10_saturation_and_moves():
     t0 = time.perf_counter()
     ok = True
     detail = ""
-    for n in range(1, 5):
+    for n in range(1, 6):
         k = 2 * n + 1
         for r in range(n, 2 * n):
             star = matching_universe(n, r).star(2 * n)
-            for order in enumerate_good_orders(n):
-                status = saturation(order, star, k)
-                if not status.saturated or status.common_vertex != 2 * n:
-                    ok = False
-                    detail = f"unsaturated order at n={n}, r={r}"
+            statuses = saturation_sweep(n, star, k)
+            if (len(statuses) != good_order_count(n) or not all(
+                    st.saturated and st.common_vertex == 2 * n for st in statuses)):
+                ok = False
+                detail = f"unsaturated order at n={n}, r={r}"
+            # the sweep against saturation order by order
+            if n <= 4 and statuses != tuple(saturation(order, star, k)
+                                            for order in enumerate_good_orders(n)):
+                ok = False
+                detail = f"sweep differs from per-order saturation at n={n}, r={r}"
     # the local move lemma for every family at once, at the smallest
     # strict k, which covers every larger k
     cases = 0
@@ -182,7 +188,7 @@ def test_a10_saturation_and_moves():
                 detail = f"move lemma at n={n}, r={r}, k={k}: {report}"
     connectivity = all(connectivity_check(n).connected for n in range(1, 6))
     ok = ok and connectivity
-    check("A10 saturation (n<=4), move lemma (n<=5), connectivity (n<=5)", 60.0,
+    check("A10 saturation (n<=5), move lemma (n<=5), connectivity (n<=5)", 60.0,
           t0, ok, detail or f"{cases} move cases, connectivity n<=5: {connectivity}")
 
 

@@ -1,13 +1,15 @@
+import operator
+
 import pytest
 
 from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
-                       MatchingGraph, ParameterError, UniformFamily,
+                       MatchingGraph, MatchwiseError, ParameterError, UniformFamily,
                        connectivity_check, construct_order_containing, counting_bound,
                        enumerate_good_orders, good_order_count, identity_order,
                        intervals, is_interval, mask_of, matching_star_bound,
                        matching_universe, move_lemma_check, normalize_rotation,
-                       orders_containing_count, saturation, swap_halves,
-                       transpose, vertices_of)
+                       orders_containing_count, saturation, saturation_sweep,
+                       swap_halves, transpose, vertices_of)
 from matchwise import orders
 
 from oracles import brute_good_orders, windows_of
@@ -270,6 +272,44 @@ def test_connectivity():
     assert rep5.connected and rep5.orbit_size == 384
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_move_maps_are_the_moves(n):
+    maps = orders._move_maps(n)
+    assert len(maps) == max(0, n - 2) + (n >= 2)
+    for order in enumerate_good_orders(n):
+        expected = [transpose(order, i) for i in range(1, n - 1)]
+        if n >= 2:
+            expected.append(swap_halves(order, n - 1))
+        assert [GoodCyclicOrder(n, move(order.seq)) for move in maps] == expected
+
+
+def test_connectivity_needs_the_swap_move(monkeypatch):
+    # the T moves alone only permute positions 1..n-1: (n-1)! orders
+    maps = orders._move_maps(6)
+    monkeypatch.setattr(orders, "_move_maps", lambda n: maps[:-1])
+    report = connectivity_check(6)
+    assert not report.connected
+    assert (report.orbit_size, report.expected) == (120, 3840)
+
+
+def test_move_maps_are_validated_when_built(monkeypatch):
+    # reversing the positions moves vertex 2n off position 2n
+    monkeypatch.setattr(orders, "_position_map",
+                        lambda n, *swaps: operator.itemgetter(*reversed(range(2 * n))))
+    orders._move_maps.cache_clear()
+    with pytest.raises(ParameterError, match="normalization"):
+        orders._move_maps(3)
+
+
+def test_orbit_walk_validates_each_new_order(monkeypatch):
+    # a map moving vertex 2n off position 2n yields a seq that is no
+    # normalized good order, which the walk must refuse
+    bad = orders._position_map(3, (3, 6))
+    monkeypatch.setattr(orders, "_move_maps", lambda n: (bad,))
+    with pytest.raises(ParameterError, match="normalization"):
+        connectivity_check(3)
+
+
 # ---------------------------------------------------------------------------
 # constructing containing orders
 # ---------------------------------------------------------------------------
@@ -371,6 +411,68 @@ def test_saturation_needs_the_strict_regime():
         saturation(identity_order(3), UniformFamily(6, 3, ()), 2)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_order_table_holds_the_enumerated_orders(n):
+    assert len(orders._order_table(n)) == 2 * n * good_order_count(n)
+    seqs = [tuple(seq) for seq in orders._table_seqs(n)]
+    assert seqs == [order.seq for order in enumerate_good_orders(n)]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except MatchwiseError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sweep_matches_saturation_of_every_order(n):
+    def same_outcome(fam, k):
+        looped = _outcome(lambda: tuple(
+            saturation(order, fam, k) for order in enumerate_good_orders(n)))
+        assert _outcome(lambda: saturation_sweep(n, fam, k)) == looped
+        return looped
+
+    for r in range(1, 2 * n):
+        k = 2 * n // (2 * n - r) + 1            # the smallest strict k
+        universe = matching_universe(n, r)
+        for v in range(1, 2 * n + 1):
+            statuses = same_outcome(universe.star(v), k)
+            assert {st.common_vertex for st in statuses} == {v}
+        star = universe.star(2 * n)
+        # saturated exactly where the dropped member is no window
+        same_outcome(UniformFamily(2 * n, r, star.sets[1:]), k)
+        # not k-wise intersecting: more than r windows in the identity order
+        over = UniformFamily.from_masks(2 * n, r, star.sets + universe.star(1).sets)
+        assert same_outcome(over, k)[0] is IntegrityError
+
+
+def test_sweep_runs_common_index_once_per_arc_family(monkeypatch):
+    calls = []
+    common_index = orders.common_index
+
+    def counted(fam, k):
+        calls.append(fam.starts)
+        return common_index(fam, k)
+
+    monkeypatch.setattr(orders, "common_index", counted)
+    statuses = saturation_sweep(4, matching_universe(4, 5).star(3), 3)
+    assert len(statuses) == 48
+    assert {st.common_vertex for st in statuses} == {3}
+    # vertex 3 sits at each position but n and 2n in some order
+    assert len(calls) == len(set(calls)) == 6
+
+
+def test_sweep_preconditions():
+    star = matching_universe(3, 4).star(6)
+    with pytest.raises(CapacityError):
+        saturation_sweep(9, matching_universe(9, 9).star(18), 3)
+    with pytest.raises(ParameterError, match="universe"):
+        saturation_sweep(4, star, 4)
+    with pytest.raises(ParameterError, match="strictly"):
+        saturation_sweep(3, star, 3)
+
+
 def test_saturation_checks_a_family_once(monkeypatch):
     calls = 0
     full_edge_count = MatchingGraph.full_edge_count
@@ -383,7 +485,7 @@ def test_saturation_checks_a_family_once(monkeypatch):
     monkeypatch.setattr(MatchingGraph, "full_edge_count", counted)
     orders._saturation_members.cache_clear()
     star = matching_universe(6, 8).star(12)
-    statuses = [saturation(order, star, 4) for order in enumerate_good_orders(6)]
+    statuses = saturation_sweep(6, star, 4)
     assert len(statuses) == 3840 and all(st.common_vertex == 12 for st in statuses)
     assert calls == len(star) == 160
 

@@ -19,7 +19,8 @@ from matchwise import (CapacityError, IntervalFamily, MatchingGraph,
                        matching_symmetry_generators, matching_universe,
                        max_kwise_family, move_lemma_check,
                        orders_containing_count, run_fuzz, saturation,
-                       swap_halves, transpose, verify_extremal_characterization)
+                       saturation_sweep, swap_halves, transpose,
+                       verify_extremal_characterization, vertices_of)
 
 from oracles import brute_max_kwise, brute_max_kwise_masks, kept_generators
 
@@ -407,7 +408,29 @@ NON_INT_ARGUMENTS = [
     (lambda v: matching_universe(3, 3).star(v), (True,)),
     (MatchingGraph(3).partner, (2.0,)),
     (MatchingGraph(3).partner, ("a",)),
+    (vertices_of, (None,)),
+    (vertices_of, (2.0,)),
+    (lambda mask: apply_permutation((2, 1), mask), (1.0,)),
+    (lambda n: saturation_sweep(n, matching_universe(3, 3).star(1), 3), (3.0,)),
 ]
+
+
+# a mask or permutation that cannot be applied, rather than a leaked
+# TypeError or IndexError, or a loop that never ends
+MALFORMED_MASK_CALLS = [
+    pytest.param(lambda: vertices_of(-1), id="vertices-negative"),
+    pytest.param(lambda: apply_permutation((2, 1), -1), id="permute-negative"),
+    pytest.param(lambda: apply_permutation(None, 3), id="permute-none"),
+    pytest.param(lambda: apply_permutation((2, 1), 4), id="permute-short"),
+    pytest.param(lambda: apply_permutation((0, 1), 1), id="permute-label-0"),
+    pytest.param(lambda: apply_permutation((1.0, 2), 1), id="permute-label-float"),
+]
+
+
+@pytest.mark.parametrize("call", MALFORMED_MASK_CALLS)
+def test_masks_and_permutations_reject_malformed_values(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 @pytest.mark.parametrize("call, args", NON_INT_ARGUMENTS)
@@ -425,6 +448,7 @@ ARITY_CALLS = [
     lambda k: max_kwise_family(SearchProblem(matching_universe(3, 3), k)),
     lambda k: verify_extremal_characterization(3, 3, k),
     lambda k: move_lemma_check(3, 4, k),
+    lambda k: saturation_sweep(4, matching_universe(4, 5).star(8), k),
 ]
 
 
@@ -445,6 +469,7 @@ WRONG_OBJECT_TYPES = [
     lambda: swap_halves(None, 1),
     lambda: saturation(None, matching_universe(3, 4).star(6), 3),
     lambda: saturation(identity_order(3), None, 3),
+    lambda: saturation_sweep(3, None, 3),
     lambda: assign_indices(None, 3),
     lambda: common_index(None, 3),
     lambda: kwise_witness(None, 3),
