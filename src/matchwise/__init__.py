@@ -30,10 +30,11 @@ from .fuzz import FuzzSummary, fuzz_assignment, fuzz_common_index, run_fuzz
 from .orders import (ConnectivityReport, GoodCyclicOrder, MoveLemmaReport,
                      SaturationStatus, connectivity_check,
                      construct_order_containing, counting_bound,
-                     enumerate_good_orders, good_order_count, identity_order,
-                     intervals, is_interval, move_lemma_check,
-                     normalize_rotation, orders_containing_count, saturation,
-                     saturation_sweep, swap_halves, transpose)
+                     enumerate_good_orders, enumerated_order_count,
+                     good_order_count, identity_order, intervals, is_interval,
+                     move_lemma_check, normalize_rotation,
+                     orders_containing_count, saturation, saturation_sweep,
+                     swap_halves, transpose)
 from .schema import SCHEMA_VERSION
 from .search import (ExtremalReport, SearchProblem, SearchResult,
                      apply_permutation, canonical_form, complete_symmetry,
@@ -51,9 +52,10 @@ __all__ = [
     "binomial", "canonical_form", "common_index", "complete_star_bound",
     "complete_symmetry", "complete_uniform_family", "connectivity_check",
     "construct_order_containing", "counting_bound", "enumerate_family",
-    "enumerate_good_orders", "fuzz_assignment", "fuzz_common_index",
-    "good_order_count", "identity_order", "intervals", "is_interval",
-    "is_k_wise_intersecting", "kwise_witness", "mask_of", "matching_star_bound",
+    "enumerate_good_orders", "enumerated_order_count", "fuzz_assignment",
+    "fuzz_common_index", "good_order_count", "identity_order", "intervals",
+    "is_interval", "is_k_wise_intersecting", "kwise_witness", "mask_of",
+    "matching_star_bound",
     "matching_symmetry", "matching_symmetry_generators", "matching_universe",
     "max_kwise_family", "move_lemma_check", "normalize_rotation",
     "orders_containing_count", "run_fuzz", "saturation", "saturation_sweep",

@@ -18,7 +18,7 @@ from .errors import CapacityError, IntegrityError, MatchwiseError, ParameterErro
 from .families import enumerate_family, matching_star_bound, matching_universe
 from .fuzz import run_fuzz
 from .orders import (connectivity_check, construct_order_containing,
-                     enumerate_good_orders, good_order_count, saturation_sweep)
+                     enumerated_order_count, good_order_count, saturation_sweep)
 from .schema import SCHEMA_VERSION
 from .search import verify_extremal_characterization
 
@@ -144,7 +144,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
 def _cmd_circle(args) -> tuple[str, bool]:
     n = args.n
     if args.action == "count":
-        enumerated = sum(1 for _ in enumerate_good_orders(n))
+        enumerated = enumerated_order_count(n)
         expected = good_order_count(n)
         obj = {"action": "count", "n": n, "enumerated": enumerated,
                "expected": expected, "ok": enumerated == expected}

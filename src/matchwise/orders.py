@@ -4,10 +4,11 @@ A cyclic arrangement of the 2n vertices of M_n is *good* when every
 pair of partners sits exactly n positions apart.  Rotation classes are
 represented uniquely by pinning vertex 2n to position 2n, which forces
 vertex n to position n; there are 2^(n-1) * (n-1)! such normalized
-orders, each fixed by its positions 1..n-1; :func:`_complete` alone
-lays out the rest.  The sweeps over every order read them from one
-per-n table of their seqs, built once from the enumerator, and the
-moves act on seqs as position maps.  Every length-r window of a good
+orders, each fixed by its positions 1..n-1.  One enumerator lays them
+out as byte rows, each checked by the rule the order type applies; the
+enumerated count, the per-n table of seqs that the sweeps over every
+order read, and the order objects are all built from those rows, and
+the moves act on seqs as position maps.  Every length-r window of a good
 order (all 2n are listed in one rolling pass) is a member of the union
 family: an independent set when r <= n, a covering set when r >= n.
 
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .arcs import IntervalFamily, common_index, wrap
-from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
-                     require_int, require_type)
+from .errors import (CapacityError, IntegrityError, MatchwiseError, ParameterError,
+                     require_arity, require_int, require_type)
 from .families import MatchingGraph, UniformFamily, is_k_wise_intersecting
 
 
@@ -41,20 +42,11 @@ class GoodCyclicOrder:
     def __post_init__(self) -> None:
         n, seq = self.n, self.seq
         require_int("n", n)  # before the cache, where 3.0 would find 3
-        size, labels, partner = _layout(n)
+        _layout(n)  # so a bad n is reported before a bad seq
         # bool and float labels compare equal to ints, so check the type too
-        if (type(seq) is not tuple or len(seq) != size
-                or set(map(type, seq)) != {int} or set(seq) != labels):
-            raise ParameterError(f"seq must be a tuple permuting the int labels 1..{size}")
-        # the partner map is an involution, so the first half of the
-        # positions suffices
-        if seq[n:] != tuple(map(partner.__getitem__, seq[:n])):
-            p = next(p for p in range(n) if seq[p + n] != partner[seq[p]])
-            raise ParameterError(
-                f"partners must sit exactly {n} apart; "
-                f"violated at position {p + 1}")
-        if seq[-1] != size:
-            raise ParameterError(f"normalization pins vertex {size} to position {size}")
+        if type(seq) is not tuple or set(map(type, seq)) != {int}:
+            raise ParameterError(f"seq must be a tuple permuting the int labels 1..{2 * n}")
+        _check_row(n, seq, ParameterError)
 
     @property
     def size(self) -> int:
@@ -86,13 +78,36 @@ class GoodCyclicOrder:
 
 
 @functools.cache
-def _layout(n: int) -> tuple[int, frozenset[int], tuple[int, ...]]:
-    """M_n's vertex count, its labels 1..2n and its partner table
-    (partner[v] is v's partner; partner[0] is unused), built once per n.
-    Callers check that n is an int first."""
+def _layout(n: int) -> tuple[int, frozenset[int], bytes, bytes]:
+    """M_n's vertex count, its labels 1..2n and two byte translation
+    tables, built once per n: ``partner[v]`` is v's partner and
+    ``edge[v]`` the edge (1..n) that v lies on; both map every other byte
+    to 0.  Callers check that n is an int first."""
     size = MatchingGraph(n).vertex_count
-    return (size, frozenset(range(1, size + 1)),
-            (0, *range(n + 1, size + 1), *range(1, n + 1)))
+    edges = range(1, n + 1)
+    partner = bytes((0, *range(n + 1, size + 1), *edges)).ljust(256, b"\0")
+    edge = bytes((0, *edges, *edges)).ljust(256, b"\0")
+    return size, frozenset(range(1, size + 1)), partner, edge
+
+
+def _check_row(n: int, seq, error: type[MatchwiseError]) -> None:
+    """The rule every normalized good order's seq (a tuple of ints or a
+    bytes row) obeys: the labels 1..2n once each, each vertex's partner n
+    positions after it, and vertex 2n last.  A breach raises ``error``.
+
+    Partners are compared through the edge table alone, never the
+    partner table that builds the rows: with distinct labels, two
+    vertices on one edge are partners.
+    """
+    size, labels, _, edge = _layout(n)
+    if len(seq) != size or set(seq) != labels:
+        raise error(f"seq must be a tuple permuting the int labels 1..{size}")
+    row = bytes(seq)                # every label is now below 256
+    if row[:n].translate(edge) != row[n:].translate(edge):
+        p = next(p for p in range(n) if edge[row[p]] != edge[row[p + n]])
+        raise error(f"partners must sit exactly {n} apart; violated at position {p + 1}")
+    if row[-1] != size:
+        raise error(f"normalization pins vertex {size} to position {size}")
 
 
 def _complete(n: int, first: list[int] | tuple[int, ...]) -> GoodCyclicOrder:
@@ -130,28 +145,55 @@ def _require_enumerable(n: int) -> None:
         raise CapacityError(f"enumeration is supported for n <= 8, got n={n}")
 
 
-def enumerate_good_orders(n: int):
-    """Yield every normalized good cyclic order exactly once.
+def _order_rows(n: int):
+    """Yield the seq of every normalized good order once, as ``bytes``.
 
-    Positions 1..n-1 take one endpoint from each of the edges 1..n-1
-    (a permutation choosing the slot, one bit choosing the endpoint);
-    the second half is forced by the partner constraint.
+    Positions 1..n-1 take one endpoint from each of the edges 1..n-1 (a
+    permutation choosing the slot, one bit per slot choosing the
+    endpoint), position n takes vertex n, and the second half is forced
+    by the partner constraint.  The first half is built as one integer,
+    a byte per position: the permutation's bytes plus, for each set bit,
+    n in that slot's byte.  Each row is checked by :func:`_check_row`;
+    one that breaks the rule raises IntegrityError.
     """
     _require_enumerable(n)
+    partner = _layout(n)[2]
+    offsets = [sum(n << 8 * slot for slot in range(n - 1) if bits >> slot & 1)
+               for bits in range(1 << (n - 1))]
     for perm in permutations(range(1, n)):
-        for bits in range(1 << (n - 1)):
-            yield _complete(n, [edge + n if bits >> slot & 1 else edge
-                                for slot, edge in enumerate(perm)])
+        base = int.from_bytes(bytes((*perm, n)), "little")
+        for offset in offsets:
+            half = (base + offset).to_bytes(n, "little")
+            row = half + half.translate(partner)
+            _check_row(n, row, IntegrityError)
+            yield row
+
+
+def enumerate_good_orders(n: int):
+    """Yield every normalized good cyclic order exactly once, in the
+    order of the checked rows of :func:`_order_rows`, each validated
+    again as a ``GoodCyclicOrder``."""
+    for row in _order_rows(n):
+        yield GoodCyclicOrder(n, tuple(row))
+
+
+def enumerated_order_count(n: int) -> int:
+    """How many normalized good orders the enumerator yields, each checked
+    as a row and none built as a ``GoodCyclicOrder``."""
+    return sum(1 for _ in _order_rows(n))
 
 
 @functools.lru_cache(maxsize=4)
 def _order_table(n: int) -> bytes:
-    """The seqs of :func:`enumerate_good_orders`, in its order, one after
-    another: order i is ``table[2n*i : 2n*(i+1)]`` (2n <= 16, so a label
-    fits a byte).  Each order is validated as a ``GoodCyclicOrder`` while
-    the table is built.  46 KB at n = 6, 645 KB at n = 7, 10 MB at n = 8.
-    Callers check n first."""
-    return b"".join(bytes(order.seq) for order in enumerate_good_orders(n))
+    """The rows of :func:`_order_rows`, in its order, one after another:
+    order i is ``table[2n*i : 2n*(i+1)]`` (2n <= 16, so a label fits a
+    byte).  Each row is checked as it is built; one ``bytearray`` holds
+    them, so the build peaks near twice the table.  46 KB at n = 6,
+    645 KB at n = 7, 10 MB at n = 8."""
+    table = bytearray()
+    for row in _order_rows(n):
+        table += row
+    return bytes(table)
 
 
 def _table_seqs(n: int):
@@ -298,12 +340,13 @@ def connectivity_check(n: int) -> ConnectivityReport:
     """BFS from the identity order under {T_1..T_(n-2), W_(n-1)}.
 
     Connected means the move set reaches every normalized good order.
-    The walk moves seqs; each seq it has not seen is validated as a
-    ``GoodCyclicOrder`` before it joins the orbit.
+    The walk moves seqs; each seq it has not seen is checked by
+    :func:`_check_row` (a breach raises ParameterError, as the order's
+    constructor would) before it joins the orbit.
     """
     MatchingGraph(n)
-    if n > 6:
-        raise CapacityError(f"connectivity check is supported for n <= 6, got n={n}")
+    if n > 7:
+        raise CapacityError(f"connectivity check is supported for n <= 7, got n={n}")
     moves = _move_maps(n)
     frontier = [identity_order(n).seq]
     seen = set(frontier)
@@ -313,7 +356,7 @@ def connectivity_check(n: int) -> ConnectivityReport:
             for move in moves:
                 image = move(seq)
                 if image not in seen:
-                    GoodCyclicOrder(n, image)
+                    _check_row(n, image, ParameterError)
                     seen.add(image)
                     nxt.append(image)
         frontier = nxt
@@ -336,7 +379,7 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
     the order.  The postcondition is checked with :func:`is_interval`.
     """
     graph = MatchingGraph(n)
-    size, _, partner = _layout(n)
+    size, _, partner, _ = _layout(n)
     require_int("r", r)
     require_int("member_mask", member_mask)
     if not n <= r < size:

@@ -174,6 +174,22 @@ def brute_good_orders(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def reference_good_orders(n: int):
+    """Yield the seq of every normalized good order, one order at a time,
+    in the enumerator's order: for each permutation of the edges
+    1..n-1 over positions 1..n-1, and for each bit pattern choosing
+    the high endpoint (e + n) where the slot's bit is set, vertex n at
+    position n and the partner of position p at p + n."""
+    def partner(v: int) -> int:
+        return v + n if v <= n else v - n
+
+    for perm in permutations(range(1, n)):
+        for bits in range(1 << (n - 1)):
+            half = [edge + n if bits >> slot & 1 else edge
+                    for slot, edge in enumerate(perm)] + [n]
+            yield tuple(half + [partner(v) for v in half])
+
+
 def windows_of(seq: tuple[int, ...], r: int) -> set[frozenset[int]]:
     size = len(seq)
     return {frozenset(seq[(s + j) % size] for j in range(r))

@@ -132,6 +132,14 @@ def test_circle_actions(capsys):
     assert code == 0 and json.loads(out)["verified"] == 8
 
 
+def test_moves_reach_every_order_at_n7(capsys):
+    code, out = run_cli(capsys, "circle", "--n", "7", "--action", "moves",
+                        "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["connected"] and obj["orbit_size"] == obj["expected"] == 46080
+
+
 def test_fuzz_deterministic_bytes(capsys):
     argv = ["fuzz", "--target", "assignment", "--trials", "200",
             "--seed", "7", "--format", "json"]
@@ -188,7 +196,7 @@ MALFORMED = [
     (["circle", "--n", "3", "--r", "9", "--action", "construct"], 2, "parameter"),
     (["fuzz", "--target", "assignment", "--trials", "0"], 2, "parameter"),
     (["circle", "--n", "9", "--action", "count"], 3, "capacity"),
-    (["circle", "--n", "7", "--action", "moves"], 3, "capacity"),
+    (["circle", "--n", "8", "--action", "moves"], 3, "capacity"),
     (["enumerate", "--n", "20", "--r", "13"], 3, "capacity"),
     (["circle", "--n", "3", "--r", "3", "--k", "2", "--action", "saturate"],
      2, "parameter"),

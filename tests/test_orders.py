@@ -1,18 +1,21 @@
+import json
 import operator
+import tracemalloc
 
 import pytest
 
 from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
                        MatchingGraph, MatchwiseError, ParameterError, UniformFamily,
                        connectivity_check, construct_order_containing, counting_bound,
-                       enumerate_good_orders, good_order_count, identity_order,
-                       intervals, is_interval, mask_of, matching_star_bound,
-                       matching_universe, move_lemma_check, normalize_rotation,
-                       orders_containing_count, saturation, saturation_sweep,
+                       enumerate_good_orders, enumerated_order_count,
+                       good_order_count, identity_order, intervals, is_interval,
+                       mask_of, matching_star_bound, matching_universe,
+                       move_lemma_check, normalize_rotation, orders_containing_count, saturation, saturation_sweep,
                        swap_halves, transpose, vertices_of)
 from matchwise import orders
+from matchwise.cli import main
 
-from oracles import brute_good_orders, windows_of
+from oracles import brute_good_orders, reference_good_orders, windows_of
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +414,45 @@ def test_saturation_needs_the_strict_regime():
         saturation(identity_order(3), UniformFamily(6, 3, ()), 2)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_order_table_holds_the_enumerated_orders(n):
+    # rows, table and orders, row for row, against the one-order-at-a-time
+    # reference rather than against each other
+    expected = list(reference_good_orders(n))
+    assert [tuple(row) for row in orders._order_rows(n)] == expected
     assert len(orders._order_table(n)) == 2 * n * good_order_count(n)
-    seqs = [tuple(seq) for seq in orders._table_seqs(n)]
-    assert seqs == [order.seq for order in enumerate_good_orders(n)]
+    assert [tuple(seq) for seq in orders._table_seqs(n)] == expected
+    assert [order.seq for order in enumerate_good_orders(n)] == expected
+    assert enumerated_order_count(n) == len(expected)
+
+
+def test_order_table_build_peaks_below_three_tables():
+    orders._order_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = orders._order_table(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(table)
+
+
+def test_rows_are_checked_against_a_wrong_partner_table(monkeypatch, capsys):
+    # the partner table the rows are built from, with vertices 1 and 2
+    # taking each other's partners
+    layout = orders._layout
+
+    def swapped(n):
+        size, labels, partner, edge = layout(n)
+        bad = bytearray(partner)
+        bad[1], bad[2] = bad[2], bad[1]
+        return size, labels, bytes(bad), edge
+
+    monkeypatch.setattr(orders, "_layout", swapped)
+    with pytest.raises(IntegrityError, match="partners must sit exactly 4 apart"):
+        list(orders._order_rows(4))
+    assert main(["circle", "--n", "4", "--action", "count", "--format", "json"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "integrity"
 
 
 def _outcome(run):
