@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import IntegrityError, ParameterError, require_arity, require_type
+from .errors import IntegrityError, ParameterError, require_arity, require_int, require_type
 
 
 def wrap(p: int, size: int) -> int:
@@ -87,19 +87,23 @@ class IntervalFamily:
 
     def positions(self, start: int) -> tuple[int, ...]:
         """The positions covered by the arc starting at ``start``."""
+        require_int("start", start)
         return tuple(wrap(start + j, self.size) for j in range(self.length))
 
     def mask(self, start: int) -> int:
         """Bitmask of :meth:`positions`: an r-bit block rotated to ``start``."""
+        require_int("start", start)
         n = self.size
         m = ((1 << self.length) - 1) << (start - 1) % n
         return (m | m >> n) & ((1 << n) - 1)
 
     def end(self, start: int) -> int:
+        require_int("start", start)
         return wrap(start + self.length - 1, self.size)
 
     def starts_through(self, position: int) -> tuple[int, ...]:
         """Starts of all arcs of this length containing ``position``."""
+        require_int("position", position)
         return tuple(sorted(wrap(position - j, self.size)
                             for j in range(self.length)))
 

@@ -399,6 +399,24 @@ def is_k_wise_intersecting(fam: UniformFamily, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# orbits
+# ---------------------------------------------------------------------------
+
+def _orbit(x, gens, act) -> set:
+    """Every image of ``x`` under the group ``gens`` generate, where
+    ``act(y, g)`` is y's image under one generator: a breadth-first
+    search, since a finite group's elements are products of generators."""
+    seen, queue = {x}, [x]
+    for y in queue:  # the loop reaches what is appended to the queue
+        for g in gens:
+            z = act(y, g)
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------
 

@@ -76,10 +76,17 @@ def _instance(trial: int, fam: IntervalFamily, k: int, note: str) -> dict:
             "starts": list(fam.starts), "note": note}
 
 
+def _require_run(trials: int, seed: int) -> None:
+    """A fuzz run needs a positive int trial count and an int seed."""
+    require_int("trials", trials)
+    if trials < 1:
+        raise ParameterError(f"trial count must be positive, got {trials}")
+    require_int("seed", seed)  # None would seed from the OS
+
+
 def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
     """Drive the end-index assignment on random admissible instances."""
-    require_int("trials", trials)
-    require_int("seed", seed)  # None would seed from the OS
+    _require_run(trials, seed)
     rng = random.Random(seed)
     conforming = nonconforming = bounded = covering = 0
     violations: list[dict] = []
@@ -136,8 +143,7 @@ def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
 
 def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
     """Drive common-index extraction on star families and perturbations."""
-    require_int("trials", trials)
-    require_int("seed", seed)  # None would seed from the OS
+    _require_run(trials, seed)
     rng = random.Random(seed)
     conforming = nonconforming = rejections = 0
     violations: list[dict] = []
@@ -189,9 +195,6 @@ def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
 
 
 def run_fuzz(target: str, trials: int, seed: int = 0) -> FuzzSummary:
-    require_int("trials", trials)
-    if trials < 1:
-        raise ParameterError(f"trial count must be positive, got {trials}")
     if target == "assignment":
         return fuzz_assignment(trials, seed)
     if target == "common-index":

@@ -7,10 +7,12 @@ vertex n to position n; there are 2^(n-1) * (n-1)! such normalized
 orders, each fixed by its positions 1..n-1.  One enumerator lays them
 out as byte rows, each checked by the rule the order type applies; the
 enumerated count, the per-n table of seqs that the sweeps over every
-order read, and the order objects are all built from those rows, and
-the moves act on seqs as position maps.  Every length-r window of a good
-order (all 2n are listed in one rolling pass) is a member of the union
-family: an independent set when r <= n, a covering set when r >= n.
+order read, and the order objects are all built from those rows.  The
+moves act on seqs as position maps, and their orbit from the identity
+is walked by ``families._orbit``, the breadth-first search the symmetry
+search also runs.  Every length-r window of a good order (all 2n are
+listed in one rolling pass) is a member of the union family: an
+independent set when r <= n, a covering set when r >= n.
 
 Saturation ties the two layers together: an order is saturated by a
 family when the maximum possible number (r) of family members appear
@@ -28,8 +30,8 @@ from itertools import permutations
 
 from .arcs import IntervalFamily, common_index, wrap
 from .errors import (CapacityError, IntegrityError, MatchwiseError, ParameterError,
-                     require_arity, require_int, require_type)
-from .families import MatchingGraph, UniformFamily, is_k_wise_intersecting
+                     require_arity, require_int, require_mask, require_type)
+from .families import MatchingGraph, UniformFamily, _orbit, is_k_wise_intersecting
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,6 @@ def _check_row(n: int, seq, error: type[MatchwiseError]) -> None:
         raise error(f"normalization pins vertex {size} to position {size}")
 
 
-def _complete(n: int, first: list[int] | tuple[int, ...]) -> GoodCyclicOrder:
-    """The normalized good order with ``first`` at positions 1..n-1: vertex
-    n at n, the partner of position p at p + n, hence vertex 2n at 2n."""
-    half = (*first, n)
-    return GoodCyclicOrder(n, half + tuple(map(_layout(n)[2].__getitem__, half)))
-
-
 def identity_order(n: int) -> GoodCyclicOrder:
     return GoodCyclicOrder(n, tuple(range(1, 2 * n + 1)))
 
@@ -128,9 +123,8 @@ def normalize_rotation(n: int, seq: tuple[int, ...]) -> GoodCyclicOrder:
     if not isinstance(seq, (tuple, list)) or len(seq) != size or size not in seq:
         raise ParameterError(
             f"an arrangement has {size} positions, one of them vertex {size}")
-    shift = size - 1 - seq.index(size)
-    rotated = tuple(seq[(p - shift) % size] for p in range(size))
-    return GoodCyclicOrder(n, rotated)
+    after = seq.index(size) + 1         # the position that comes to 1
+    return GoodCyclicOrder(n, tuple(seq[after:] + seq[:after]))
 
 
 def good_order_count(n: int) -> int:
@@ -236,15 +230,15 @@ def is_interval(order: GoodCyclicOrder, mask: int) -> int | None:
     """Start of the (unique) window equal to ``mask``, else None."""
     require_type("order", order, GoodCyclicOrder)
     size = order.size
-    require_int("mask", mask)
+    require_mask(mask)
     if mask >> size:
         raise ParameterError(f"set contains vertices beyond {size}")
     count = mask.bit_count()
     if not 1 <= count < size:
         raise ParameterError(
             f"set size must be in 1..{size - 1}, got {count}")
-    return next((start for start, window in intervals(order, count)
-                 if window == mask), None)
+    windows = _windows(order.seq, count)
+    return windows.index(mask) + 1 if mask in windows else None
 
 
 def orders_containing_count(n: int, r: int) -> int:
@@ -337,31 +331,21 @@ class ConnectivityReport:
 
 
 def connectivity_check(n: int) -> ConnectivityReport:
-    """BFS from the identity order under {T_1..T_(n-2), W_(n-1)}.
+    """The orbit of the identity order under {T_1..T_(n-2), W_(n-1)}.
 
     Connected means the move set reaches every normalized good order.
-    The walk moves seqs; each seq it has not seen is checked by
-    :func:`_check_row` (a breach raises ParameterError, as the order's
-    constructor would) before it joins the orbit.
+    ``families._orbit`` walks the orbit of the identity's seq under the
+    position maps; each seq in it is then checked by :func:`_check_row`
+    (a breach raises ParameterError, as the order's constructor would).
     """
     MatchingGraph(n)
     if n > 7:
         raise CapacityError(f"connectivity check is supported for n <= 7, got n={n}")
-    moves = _move_maps(n)
-    frontier = [identity_order(n).seq]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for seq in frontier:
-            for move in moves:
-                image = move(seq)
-                if image not in seen:
-                    _check_row(n, image, ParameterError)
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
+    orbit = _orbit(identity_order(n).seq, _move_maps(n), lambda seq, move: move(seq))
+    for seq in orbit:
+        _check_row(n, seq, ParameterError)
     expected = good_order_count(n)
-    return ConnectivityReport(len(seen) == expected, len(seen), expected)
+    return ConnectivityReport(len(orbit) == expected, len(orbit), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +381,7 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
     singles = [v for v in range(1, size + 1) if member_mask >> (v - 1) & 1
                and not member_mask >> (partner[v] - 1) & 1]
     half = full + singles
-    seq = half + [partner[v] for v in half]
-    after = seq.index(size) + 1         # the position that comes to 1
-    order = _complete(n, [seq[(after + p) % size] for p in range(n - 1)])
+    order = normalize_rotation(n, half + [partner[v] for v in half])
     if is_interval(order, member_mask) is None:
         raise IntegrityError("constructed order does not contain the member as "
                              "a window; construction bug")
@@ -418,83 +400,37 @@ class SaturationStatus:
     common_vertex: int | None = None
 
 
-@functools.lru_cache(maxsize=8)
-def _saturation_members(n: int, fam: UniformFamily, k: int) -> frozenset:
-    """The members of ``fam`` once it passes saturation's family checks.
+def _saturate(n: int, seqs, fam: UniformFamily, k: int) -> tuple[SaturationStatus, ...]:
+    """The saturation status of each of ``seqs`` (tuples or table rows)
+    under ``fam``, in order.
 
-    Cached, so a family saturated against every order is checked once;
-    a failed check raises again on every call, as lru_cache keeps no
-    exceptions.
+    The family is checked once, before any seq is read: it must lie in
+    the union family at its cardinality r with k*r < (k-1)*2n strictly.
+    :func:`common_index` (a function of the member starts alone) runs
+    once per distinct tuple of starts.
     """
     graph = MatchingGraph(n)
-    if fam.universe_size != graph.vertex_count:
+    size, r = graph.vertex_count, fam.r
+    if fam.universe_size != size:
         raise ParameterError("family universe does not match the order's graph")
-    r = fam.r
-    if not 1 <= r < graph.vertex_count:
+    if not 1 <= r < size:
         raise ParameterError(f"need 1 <= r < 2n, got r={r}")
-    if k * r >= (k - 1) * graph.vertex_count:
+    if k * r >= (k - 1) * size:
         raise ParameterError(
             f"saturation analysis needs k*r < (k-1)*2n strictly, got k={k}, r={r}, n={n}")
-    expected_full = max(0, r - n)
     for s in fam.sets:
-        if graph.full_edge_count(s) != expected_full:
+        if graph.full_edge_count(s) != max(0, r - n):
             raise ParameterError(
                 f"family member {s:#x} is not in the union family for r={r}")
-    return frozenset(fam.sets)
-
-
-def _member_starts(seq, r: int, members: frozenset) -> tuple[int, ...]:
-    """The ascending starts of the windows of ``seq`` that are members;
-    more than r raises IntegrityError."""
-    starts = tuple(p for p, mask in enumerate(_windows(seq, r), 1) if mask in members)
-    if len(starts) > r:
-        raise IntegrityError(
-            f"{len(starts)} members appear as windows but at most {r} are "
-            "possible for a k-wise intersecting family")
-    return starts
-
-
-def saturation(order: GoodCyclicOrder, fam: UniformFamily,
-               k: int) -> SaturationStatus:
-    """Count family members appearing as windows of the order.
-
-    The family must lie in the union family at its cardinality r, with
-    k*r < (k-1)*2n strictly, and is trusted to be k-wise intersecting;
-    these checks run once per family, not once per order.  At most r
-    members can be windows; exactly r means the order is saturated,
-    and the common-index extraction then recovers the position (and
-    vertex) shared by all of them.  A count above r is impossible for
-    a k-wise intersecting family, so it raises IntegrityError.
-    """
-    require_type("order", order, GoodCyclicOrder)
-    require_type("fam", fam, UniformFamily)
-    require_arity(k)  # before the cache, which takes 3.0 for 3
-    r = fam.r
-    starts = _member_starts(order.seq, r, _saturation_members(order.n, fam, k))
-    if len(starts) < r:
-        return SaturationStatus(False, len(starts))
-    position = common_index(IntervalFamily(order.size, r, starts), k)
-    return SaturationStatus(True, r, position, order.vertex_at(position))
-
-
-def saturation_sweep(n: int, fam: UniformFamily, k: int) -> tuple[SaturationStatus, ...]:
-    """``saturation(order, fam, k)`` for every order of
-    :func:`enumerate_good_orders`, in its order, with the same outcomes
-    and exceptions.
-
-    The arguments and the family are checked once, the orders are read
-    from the per-n order table, and :func:`common_index` (a function of
-    the member starts alone) runs once per distinct tuple of starts.
-    """
-    _require_enumerable(n)
-    require_type("fam", fam, UniformFamily)
-    require_arity(k)
-    members = _saturation_members(n, fam, k)
-    size, r = 2 * n, fam.r
+    members = frozenset(fam.sets)
     common = {}                     # member starts -> their common position
     out = []
-    for seq in _table_seqs(n):
-        starts = _member_starts(seq, r, members)
+    for seq in seqs:
+        starts = tuple(p for p, mask in enumerate(_windows(seq, r), 1) if mask in members)
+        if len(starts) > r:
+            raise IntegrityError(
+                f"{len(starts)} members appear as windows but at most {r} are "
+                "possible for a k-wise intersecting family")
         if len(starts) < r:
             out.append(SaturationStatus(False, len(starts)))
             continue
@@ -503,6 +439,39 @@ def saturation_sweep(n: int, fam: UniformFamily, k: int) -> tuple[SaturationStat
         position = common[starts]
         out.append(SaturationStatus(True, r, position, seq[position - 1]))
     return tuple(out)
+
+
+def saturation(order: GoodCyclicOrder, fam: UniformFamily,
+               k: int) -> SaturationStatus:
+    """Count family members appearing as windows of the order.
+
+    The family must lie in the union family at its cardinality r, with
+    k*r < (k-1)*2n strictly, and is trusted to be k-wise intersecting.
+    At most r members can be windows; exactly r means the order is
+    saturated, and the common-index extraction then recovers the
+    position (and vertex) shared by all of them.  A count above r is
+    impossible for a k-wise intersecting family, so it raises
+    IntegrityError.  To check a family against every order, use
+    :func:`saturation_sweep`, which checks the family once.
+    """
+    require_type("order", order, GoodCyclicOrder)
+    require_type("fam", fam, UniformFamily)
+    require_arity(k)
+    return _saturate(order.n, [order.seq], fam, k)[0]
+
+
+def saturation_sweep(n: int, fam: UniformFamily, k: int) -> tuple[SaturationStatus, ...]:
+    """``saturation(order, fam, k)`` for every order of
+    :func:`enumerate_good_orders`, in its order, with the same outcomes
+    and exceptions.
+
+    The arguments and the family are checked once, and the orders are
+    read from the per-n order table.
+    """
+    _require_enumerable(n)
+    require_type("fam", fam, UniformFamily)
+    require_arity(k)
+    return _saturate(n, _table_seqs(n), fam, k)
 
 
 @dataclass(frozen=True)

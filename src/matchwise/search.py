@@ -37,8 +37,9 @@ When vertex relabellings of the universe are supplied, the search
 uses the group they generate without listing it.  Each permutation kept
 as a generator gets one ``bytes`` row mapping each member's index to
 the index of its image (a universe has at most 256 members, so an index
-fits in a byte), and one breadth-first search, :func:`_orbit`, reads
-any orbit from those rows.  Only orbit minima are tried as the minimal
+fits in a byte), and one breadth-first search, ``families._orbit``
+(the walk the order layer's move check also runs), reads any orbit
+from those rows.  Only orbit minima are tried as the minimal
 member, and in all-maximum mode each found witness is expanded to its
 whole orbit, so the reported witness list is always the full one.
 Without relabellings there are no rows and every orbit is a single
@@ -56,7 +57,7 @@ from itertools import chain, permutations, repeat
 
 from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
                      require_int, require_mask, require_type)
-from .families import (MatchingGraph, UniformFamily, is_k_wise_intersecting,
+from .families import (MatchingGraph, UniformFamily, _orbit, is_k_wise_intersecting,
                        matching_star_bound, matching_universe)
 from .schema import SCHEMA_VERSION
 
@@ -227,20 +228,6 @@ class SearchResult:
     # too few, and because the conflict matching lowers that count too far
     size_prunes: int
     conflict_prunes: int
-
-
-def _orbit(x, gens, act) -> set:
-    """Every image of ``x`` under the group ``gens`` generate, where
-    ``act(y, g)`` is y's image under one generator: a breadth-first
-    search, since a finite group's elements are products of generators."""
-    seen, queue = {x}, [x]
-    for y in queue:  # the loop reaches what is appended to the queue
-        for g in gens:
-            z = act(y, g)
-            if z not in seen:
-                seen.add(z)
-                queue.append(z)
-    return seen
 
 
 def _image(fam: tuple[int, ...], row: bytes) -> tuple[int, ...]:

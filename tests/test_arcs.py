@@ -68,6 +68,13 @@ def test_rejects_malformed_fields(args):
         IntervalFamily(*args)
 
 
+@pytest.mark.parametrize("method", ["positions", "mask", "end", "starts_through"])
+@pytest.mark.parametrize("position", [None, 1.0, True, "1"])
+def test_position_methods_reject_malformed_positions(method, position):
+    with pytest.raises(ParameterError, match="must be an int"):
+        getattr(IntervalFamily(5, 2, (1,)), method)(position)
+
+
 @pytest.mark.parametrize("starts", [["a"], [1.0], [True, 3],
                                     # caught before set() or sorted() sees them
                                     [1, "a"], [[1]], [1, True], 1])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -130,6 +131,32 @@ def test_circle_actions(capsys):
     code, out = run_cli(capsys, "circle", "--n", "3", "--r", "4",
                         "--action", "construct", "--format", "json")
     assert code == 0 and json.loads(out)["verified"] == 8
+
+
+def _circle_grid():
+    for n in range(1, 5):
+        for r in range(1, 2 * n + 1):
+            for k in (None, 2, 3, 5):
+                yield (["circle", "--n", str(n), "--r", str(r), "--action", "saturate"]
+                       + ([] if k is None else ["--k", str(k)]))
+    for n in range(1, 7):
+        yield ["circle", "--n", str(n), "--action", "moves"]
+    for n in range(1, 6):
+        for r in range(n, 2 * n + 1):
+            yield ["circle", "--n", str(n), "--r", str(r), "--action", "construct"]
+
+
+# sha256 of every grid invocation's argv, exit code and JSON output: a
+# change to any circle answer, message or exit code on the grid shows here
+CIRCLE_GRID_SHA256 = "344574b1eda8cf8341b51f91d37c209dc4809a53aef9c643e0f0575dbaf4d4d1"
+
+
+def test_circle_json_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in _circle_grid():
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == CIRCLE_GRID_SHA256
 
 
 def test_moves_reach_every_order_at_n7(capsys):

@@ -79,6 +79,13 @@ def test_run_fuzz_validation():
 
 
 @pytest.mark.parametrize("fuzz", [fuzz_assignment, fuzz_common_index])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_fuzz_needs_positive_trials(fuzz, trials):
+    with pytest.raises(ParameterError, match="must be positive"):
+        fuzz(trials)
+
+
+@pytest.mark.parametrize("fuzz", [fuzz_assignment, fuzz_common_index])
 @pytest.mark.parametrize("trials, seed", [(2.5, 0), (10, None), (10, 1.5), (10, "7")])
 def test_fuzz_needs_int_trials_and_seed(fuzz, trials, seed):
     # a seed of None would draw from the OS and break reproducibility

@@ -149,6 +149,11 @@ def test_is_interval_examples():
         is_interval(order, mask_of({1, 2, 3, 4, 5, 6}))
 
 
+def test_is_interval_reports_a_negative_mask():
+    with pytest.raises(ParameterError, match="a mask is a nonnegative int, got -1"):
+        is_interval(identity_order(3), -1)
+
+
 def test_is_interval_agrees_with_window_listing():
     for order in enumerate_good_orders(3):
         for r in range(1, 6):
@@ -520,7 +525,6 @@ def test_saturation_checks_a_family_once(monkeypatch):
         return full_edge_count(self, mask)
 
     monkeypatch.setattr(MatchingGraph, "full_edge_count", counted)
-    orders._saturation_members.cache_clear()
     star = matching_universe(6, 8).star(12)
     statuses = saturation_sweep(6, star, 4)
     assert len(statuses) == 3840 and all(st.common_vertex == 12 for st in statuses)
@@ -558,6 +562,7 @@ MALFORMED_ORDER_CALLS = [
     pytest.param(lambda: intervals(identity_order(3), 2.0), id="intervals-float"),
     pytest.param(lambda: intervals(identity_order(3), True), id="intervals-bool"),
     pytest.param(lambda: is_interval(identity_order(3), 3.0), id="is_interval-float"),
+    pytest.param(lambda: is_interval(identity_order(3), -1), id="is_interval-negative"),
     pytest.param(lambda: transpose(identity_order(3), 1.0), id="transpose-float"),
     pytest.param(lambda: swap_halves(identity_order(3), True), id="swap_halves-bool"),
     pytest.param(lambda: connectivity_check(3.0), id="connectivity-float"),
