@@ -16,7 +16,7 @@ import sys
 
 from .errors import CapacityError, IntegrityError, MatchwiseError, ParameterError
 from .families import enumerate_family, matching_star_bound, matching_universe
-from .fuzz import run_fuzz
+from . import fuzz
 from .orders import (connectivity_check, construct_order_containing,
                      enumerated_order_count, good_order_count, saturation_sweep)
 from .schema import SCHEMA_VERSION
@@ -196,7 +196,7 @@ _FUZZ_ALIASES = {"1": "assignment", "2": "common-index"}
 
 def _cmd_fuzz(args) -> tuple[str, bool]:
     target = _FUZZ_ALIASES.get(args.target, args.target)
-    summary = run_fuzz(target, args.trials, args.seed)
+    summary = fuzz.run_fuzz(target, args.trials, args.seed)
     text = (f"fuzz {summary.target}: {summary.trials} trials, "
             f"{summary.conforming} conforming, "
             f"{len(summary.violations)} violations\n")
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", parents=[common],
                        help="seeded randomized procedure checks")
-    p.add_argument("--target", choices=("assignment", "common-index", "1", "2"),
+    p.add_argument("--target", choices=(*fuzz.TARGETS, *_FUZZ_ALIASES),
                    required=True, help="1 is an alias for assignment, "
                                        "2 for common-index")
     p.add_argument("--trials", type=int, default=10000)

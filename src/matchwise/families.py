@@ -10,7 +10,9 @@ Three r-uniform families matter here:
 
 * the independent family: r-sets containing no full edge (r <= n),
 * the covering family: r-sets containing one endpoint of every edge,
-  i.e. containing a maximum independent set (r >= n),
+  i.e. containing a maximum independent set (r >= n); an r-set covers
+  exactly when its complement, a (2n-r)-set, is independent, so this
+  family is the independent one complemented,
 * their union, which is the natural universe for intersecting-family
   questions on M_n.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from .errors import (CapacityError, ParameterError, require_arity, require_int, require_mask,
@@ -263,17 +265,6 @@ class UniformFamily:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _one_per_edge_masks(n: int, edge_subset: tuple[int, ...]) -> Iterator[int]:
-    """All ways to pick exactly one endpoint from each edge in the subset."""
-    if not edge_subset:
-        yield 0
-        return
-    first, rest = edge_subset[0], edge_subset[1:]
-    for tail in _one_per_edge_masks(n, rest):
-        yield (1 << (first - 1)) | tail
-        yield (1 << (first + n - 1)) | tail
-
-
 def _check_members(count: int) -> None:
     if count > _MAX_MEMBERS:
         raise CapacityError(
@@ -287,8 +278,11 @@ def enumerate_family(n: int, r: int, kind: FamilyKind) -> UniformFamily:
     kind "max_containing": one endpoint of every edge, the rest paired
     up into r-n full edges (empty for r < n).
     kind "union": whichever of the two is nonempty; at r = n they
-    coincide (the maximum independent sets).  A family of more than
-    2^20 members is a ``CapacityError``, raised before it is built.
+    coincide (the maximum independent sets).  A nonempty family has
+    C(n, s) * 2^s members, s = min(r, 2n-r), since an r-set with r >= n
+    meets every edge exactly when its (2n-r)-set complement is
+    independent.  A family of more than 2^20 members is a
+    ``CapacityError``, raised before it is built.
     """
     graph = MatchingGraph(n)
     if kind not in _KINDS:
@@ -297,32 +291,17 @@ def enumerate_family(n: int, r: int, kind: FamilyKind) -> UniformFamily:
     if not 1 <= r <= 2 * n:
         raise ParameterError(f"cardinality r={r} outside 1..{2 * n}")
 
-    def independent() -> list[int]:
-        # choose r edges, then one endpoint from each
-        out = []
-        for edges in combinations(range(1, n + 1), r):
-            out.extend(_one_per_edge_masks(n, edges))
-        return out
-
-    def max_containing() -> list[int]:
-        # choose r-n edges taken fully, then one endpoint of each other edge
-        out = []
-        all_edges = range(1, n + 1)
-        for full in combinations(all_edges, r - n):
-            base = 0
-            for e in full:
-                base |= (1 << (e - 1)) | (1 << (e + n - 1))
-            others = tuple(e for e in all_edges if e not in full)
-            for pick in _one_per_edge_masks(n, others):
-                out.append(base | pick)
-        return out
-
     # at r = n both kinds are the 2^n maximum independent sets
     if (kind == "independent" and r > n) or (kind == "max_containing" and r < n):
         return UniformFamily(graph.vertex_count, r, ())
-    _check_members(binomial(n, r) << r if r <= n
-                   else binomial(n, r - n) << (2 * n - r))
-    masks = independent() if r <= n else max_containing()
+    # the independent side-sets (side edges, one endpoint of each), which
+    # for r > n are the complements of the members
+    side = min(r, 2 * n - r)
+    _check_members(binomial(n, side) << side)
+    flip = (1 << 2 * n) - 1 if r > n else 0
+    masks = [sum(picks) ^ flip
+             for edges in combinations(range(n), side)
+             for picks in product(*[(1 << e, 1 << e + n) for e in edges])]
     return UniformFamily.from_masks(graph.vertex_count, r, masks)
 
 

@@ -31,9 +31,6 @@ from .errors import IntegrityError, ParameterError, require_int
 from .families import UniformFamily, is_k_wise_intersecting
 from .schema import SCHEMA_VERSION
 
-TARGETS = ("assignment", "common-index")
-
-
 @dataclass(frozen=True)
 class FuzzSummary:
     target: str
@@ -194,9 +191,13 @@ def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
                        0, 0, rejections, tuple(violations))
 
 
+# target name -> fuzzer, in the order the CLI lists them
+TARGETS = {"assignment": fuzz_assignment, "common-index": fuzz_common_index}
+
+
 def run_fuzz(target: str, trials: int, seed: int = 0) -> FuzzSummary:
-    if target == "assignment":
-        return fuzz_assignment(trials, seed)
-    if target == "common-index":
-        return fuzz_common_index(trials, seed)
-    raise ParameterError(f"unknown fuzz target {target!r}")
+    try:
+        fuzzer = TARGETS[target]
+    except (KeyError, TypeError):  # TypeError: an unhashable target
+        raise ParameterError(f"unknown fuzz target {target!r}") from None
+    return fuzzer(trials, seed)

@@ -243,15 +243,14 @@ def is_interval(order: GoodCyclicOrder, mask: int) -> int | None:
 
 def orders_containing_count(n: int, r: int) -> int:
     """In how many normalized good orders a fixed union-family member
-    appears as a window: r! (n-r)! 2^(n-r) for r <= n, else
-    (2n-r)! (r-n)! 2^(r-n)."""
+    appears as a window: s! (n-s)! 2^(n-s) with s = min(r, 2n-r), since
+    a window's complement in a good order is a window too."""
     MatchingGraph(n)
     require_int("r", r)
     if not 1 <= r < 2 * n:
         raise ParameterError(f"need 1 <= r < 2n, got r={r}, n={n}")
-    if r <= n:
-        return math.factorial(r) * math.factorial(n - r) * (1 << (n - r))
-    return math.factorial(2 * n - r) * math.factorial(r - n) * (1 << (r - n))
+    s = min(r, 2 * n - r)
+    return math.factorial(s) * math.factorial(n - s) * (1 << (n - s))
 
 
 def counting_bound(n: int, r: int) -> int:

@@ -365,6 +365,16 @@ def test_csv_matches_json(capsys, argv, header):
                 assert cell == csv_cell(row[column]), column
 
 
+def test_csv_quotes_cells_that_need_it():
+    # SCHEMA.md: a cell with a comma, a double quote or a newline is
+    # quoted, inner quotes doubled; no command's output has such a cell
+    rows = [{"a": "1,2", "b": 'say "hi"', "c": "two\nlines", "d": "plain"}]
+    out = cli._csv(rows, ["a", "b", "c", "d"])
+    assert out == 'a,b,c,d\n"1,2","say ""hi""","two\nlines",plain\n'
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["a", "b", "c", "d"], ["1,2", 'say "hi"', "two\nlines", "plain"]]
+
+
 def test_module_entry_point():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -18,6 +18,7 @@ def test_demos_exist():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+    # pytest's filterwarnings does not reach a child process
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=ROOT,
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -72,7 +72,7 @@ def test_union_m4_r5_against_subset_filter():
 
 
 @pytest.mark.parametrize("kind", ["independent", "max_containing", "union"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_matches_definition_filter(n, kind):
     for r in range(1, 2 * n + 1):
         fam = enumerate_family(n, r, kind)

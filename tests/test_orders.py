@@ -198,6 +198,8 @@ def test_orders_containing_count_examples():
     assert orders_containing_count(3, 2) == 4
     assert orders_containing_count(3, 4) == 4
     assert orders_containing_count(1, 1) == 1
+    # a window's complement is a window, so r and 2n - r give the same count
+    assert orders_containing_count(5, 2) == orders_containing_count(5, 8) == 96
 
 
 def test_double_counting_exhaustive_small():
@@ -563,6 +565,11 @@ MALFORMED_ORDER_CALLS = [
     pytest.param(lambda: intervals(identity_order(3), True), id="intervals-bool"),
     pytest.param(lambda: is_interval(identity_order(3), 3.0), id="is_interval-float"),
     pytest.param(lambda: is_interval(identity_order(3), -1), id="is_interval-negative"),
+    pytest.param(lambda: is_interval(identity_order(3), 1 << 6), id="is_interval-beyond"),
+    pytest.param(lambda: intervals(identity_order(3), 6), id="intervals-full-circle"),
+    pytest.param(lambda: orders_containing_count(3, 6), id="containing-count-r-2n"),
+    pytest.param(lambda: construct_order_containing(3, 4, 0b100011),
+                 id="construct-mask-wrong-size"),
     pytest.param(lambda: transpose(identity_order(3), 1.0), id="transpose-float"),
     pytest.param(lambda: swap_halves(identity_order(3), True), id="swap_halves-bool"),
     pytest.param(lambda: connectivity_check(3.0), id="connectivity-float"),

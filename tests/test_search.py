@@ -274,6 +274,17 @@ def test_modes():
     assert every.max_size == 4 and every.all_are_stars
 
 
+def test_empty_universe():
+    # no independent 4-set on M_3: the empty family is the one maximum
+    universe = enumerate_family(3, 4, "independent")
+    every = max_kwise_family(SearchProblem(universe, 3, "all_maximum"))
+    assert every.max_size == 0
+    assert [w.sets for w in every.witnesses] == [()]
+    assert every.all_are_stars is None
+    assert every.explored_nodes == 1
+    assert max_kwise_family(SearchProblem(universe, 3, "max_size_only")).witnesses == ()
+
+
 def test_parameter_and_capacity_errors():
     universe = matching_universe(3, 3)
     with pytest.raises(ParameterError):
@@ -415,8 +426,8 @@ NON_INT_ARGUMENTS = [
 ]
 
 
-# a mask or permutation that cannot be applied, rather than a leaked
-# TypeError or IndexError, or a loop that never ends
+# a mask, permutation, family or size that cannot be used, rather than a
+# leaked TypeError or IndexError, or a loop that never ends
 MALFORMED_MASK_CALLS = [
     pytest.param(lambda: vertices_of(-1), id="vertices-negative"),
     pytest.param(lambda: apply_permutation((2, 1), -1), id="permute-negative"),
@@ -424,6 +435,13 @@ MALFORMED_MASK_CALLS = [
     pytest.param(lambda: apply_permutation((2, 1), 4), id="permute-short"),
     pytest.param(lambda: apply_permutation((0, 1), 1), id="permute-label-0"),
     pytest.param(lambda: apply_permutation((1.0, 2), 1), id="permute-label-float"),
+    pytest.param(lambda: canonical_form(matching_universe(4, 4), 3),
+                 id="canonical-wrong-n"),
+    pytest.param(lambda: max_kwise_family(SearchProblem(UniformFamily(6, 0, (0,)), 3)),
+                 id="search-r-0"),
+    pytest.param(lambda: complete_uniform_family(4, 5), id="complete-r-beyond-m"),
+    pytest.param(lambda: complete_star_bound(0, 1), id="star-bound-m-0"),
+    pytest.param(lambda: MatchingGraph(3).partner(7), id="partner-beyond-2n"),
 ]
 
 
