@@ -274,6 +274,7 @@ def common_index(fam: IntervalFamily, k: int) -> int:
     if len(fam) != r:
         raise ParameterError(f"family has {len(fam)} arcs, expected exactly r={r}")
 
+    k = min(k, r + 2)  # still strict; the classes it drops hold only indices >= N
     rotation, starts, held, full = _assign(fam, k)
     if full:
         raise IntegrityError(

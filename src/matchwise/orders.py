@@ -6,11 +6,10 @@ represented uniquely by pinning vertex 2n to position 2n, which forces
 vertex n to position n; there are 2^(n-1) * (n-1)! such normalized
 orders, each fixed by its positions 1..n-1.  One enumerator lays them
 out as byte rows, each checked by the rule the order type applies; the
-enumerated count, the per-n table of seqs that the sweeps over every
-order read, and the order objects are all built from those rows.  The
-moves act on seqs as position maps, and their orbit from the identity
-is walked by ``families._orbit``, the breadth-first search the symmetry
-search also runs.  Every length-r window of a good order (all 2n are
+count, ``saturation_sweep``'s per-n table and the order objects are
+built from those rows.  The moves act on seqs as position maps, whose
+orbit from the identity ``families._orbit`` walks, as the symmetry
+search does.  Every length-r window of a good order (all 2n are
 listed in one rolling pass) is a member of the union family: an
 independent set when r <= n, a covering set when r >= n.
 
@@ -475,9 +474,8 @@ def saturation_sweep(n: int, fam: UniformFamily, k: int) -> tuple[SaturationStat
 
 @dataclass(frozen=True)
 class MoveLemmaReport:
-    """Of ``cases`` (order, move, candidate centre) triples checked by
-    :func:`move_lemma_check`, ``survivors`` could not be ruled out; the
-    lemma holds when none survives."""
+    """Of the ``cases`` (move, candidate centre) pairs tried on the identity
+    order, ``survivors`` were not ruled out; the lemma holds when none is."""
 
     holds: bool
     cases: int
@@ -496,9 +494,11 @@ def move_lemma_check(n: int, r: int, k: int) -> MoveLemmaReport:
     the two orders share, or when A ∪ B is not k-wise intersecting; the
     lemma holds when no (σ, μ, v') survives.
 
-    Needs n <= r < 2n (below r = n the lemma is false) and
-    k*r < (k-1)*2n strictly.  Supported for n <= 7.  σ runs over the
-    per-n order table.
+    The identity order σ0 decides every σ: σ = g∘σ0 for exactly one
+    automorphism g of M_n fixing 2n (p ↦ σ[p]), μ(gσ0) = g(μσ0) as moves
+    act on positions and g on labels, and relabelling keeps windows,
+    "through 2n" and k-wise intersection.  Needs n <= r < 2n (below
+    r = n the lemma is false) and k*r < (k-1)*2n strictly.
     """
     size = MatchingGraph(n).vertex_count
     require_int("r", r)
@@ -508,21 +508,18 @@ def move_lemma_check(n: int, r: int, k: int) -> MoveLemmaReport:
     if k * r >= (k - 1) * size:
         raise ParameterError(
             f"the move lemma needs k*r < (k-1)*2n strictly, got k={k}, r={r}, n={n}")
-    if n > 7:
-        raise CapacityError(f"the move lemma check is supported for n <= 7, got n={n}")
     cases = survivors = 0
-    moves = _move_maps(n)
-    for seq in _table_seqs(n):
-        windows = set(_windows(seq, r))
-        through_2n = {mask for mask in windows if mask >> (size - 1)}
-        for move in moves:
-            moved_windows = _windows(move(seq), r)
-            shared = windows.intersection(moved_windows)
-            expected = through_2n & shared
-            for v in range(1, size):
-                cases += 1
-                through_v = {mask for mask in moved_windows if mask >> (v - 1) & 1}
-                if (through_v & shared == expected and is_k_wise_intersecting(
-                        UniformFamily.from_masks(size, r, through_2n | through_v), k)):
-                    survivors += 1
+    seq = identity_order(n).seq
+    windows = set(_windows(seq, r))
+    through_2n = {mask for mask in windows if mask >> (size - 1)}
+    for move in _move_maps(n):
+        moved_windows = _windows(move(seq), r)
+        shared = windows.intersection(moved_windows)
+        expected = through_2n & shared
+        for v in range(1, size):
+            cases += 1
+            through_v = {mask for mask in moved_windows if mask >> (v - 1) & 1}
+            if (through_v & shared == expected and is_k_wise_intersecting(
+                    UniformFamily.from_masks(size, r, through_2n | through_v), k)):
+                survivors += 1
     return MoveLemmaReport(survivors == 0, cases, survivors)

@@ -349,7 +349,8 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
         records.append((0, ()))
     nodes = 1  # the empty-family root
     size_prunes = conflict_prunes = 0
-    km1, km2 = k - 1, k - 2
+    arity = min(k, len(masks) + 2)  # past |U| + 2, k changes no branch
+    km1, km2 = arity - 1, arity - 2
     chosen: list[int] = []
     # levels[j] = the distinct intersections of the j-subsets of the chosen
     # family; every one at level k-1 has already filtered the candidates

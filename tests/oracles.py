@@ -223,3 +223,34 @@ def first_kwise_witness(members: tuple[int, ...], k: int
         return None
 
     return walk((), 0, -1)  # -1 has every bit set
+
+
+def move_lemma_sweep(n: int, r: int, k: int, union_test: bool = True
+                     ) -> tuple[int, int]:
+    """(cases, survivors) of the local move lemma over every normalized
+    good order, from the definitions: frozenset windows, the moves
+    T_1..T_(n-2) and W_(n-1) as position swaps, and a candidate centre
+    v' != 2n of the moved order surviving when its windows agree with
+    the windows through 2n on every window both orders share and (with
+    ``union_test``) the two window sets together are k-wise intersecting."""
+    size = 2 * n
+    moves = [((i, i + 1), (i + n, i + n + 1)) for i in range(1, n - 1)]
+    if n >= 2:
+        moves.append(((n - 1, 2 * n - 1),))
+    cases = survivors = 0
+    for seq in reference_good_orders(n):
+        windows = windows_of(seq, r)
+        through_2n = {w for w in windows if size in w}
+        for swaps in moves:
+            moved = list(seq)
+            for p, q in swaps:
+                moved[p - 1], moved[q - 1] = moved[q - 1], moved[p - 1]
+            moved_windows = windows_of(tuple(moved), r)
+            shared = windows & moved_windows
+            for v in range(1, size):
+                cases += 1
+                through_v = {w for w in moved_windows if v in w}
+                if through_v & shared == through_2n & shared and (
+                        not union_test or kwise_ok(list(through_2n | through_v), k)):
+                    survivors += 1
+    return cases, survivors

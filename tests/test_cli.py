@@ -114,6 +114,24 @@ def test_verify_exit_status(monkeypatch, capsys, change, check_stars, code):
     assert run_cli(capsys, *argv, *["--check-stars"] * check_stars)[0] == code
 
 
+@pytest.mark.parametrize("argv, k", [
+    (["verify", "--n", "3", "--r", "4", "--all-maximum"], 14),  # 12 members + 2
+    (["circle", "--n", "3", "--r", "3", "--action", "saturate"], 5),  # r + 2
+])
+def test_huge_k_answers_as_the_clamped_k(capsys, argv, k):
+    # past the clamp a larger arity changes no branch of the search and no
+    # class of the index assignment, so only k itself differs
+    outs = []
+    for value in (k, 10**12):
+        code, out = run_cli(capsys, *argv, "--k", str(value), "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj.pop("k") == value
+        obj.pop("elapsed_ms", None)
+        outs.append(obj)
+    assert outs[0] == outs[1]
+
+
 def test_circle_actions(capsys):
     code, out = run_cli(capsys, "circle", "--n", "3", "--action", "count",
                         "--format", "json")

@@ -15,7 +15,7 @@ from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
 from matchwise import orders
 from matchwise.cli import main
 
-from oracles import brute_good_orders, reference_good_orders, windows_of
+from oracles import brute_good_orders, move_lemma_sweep, reference_good_orders, windows_of
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +539,28 @@ def test_saturation_checks_a_family_once(monkeypatch):
 
 @pytest.mark.parametrize("n, r, k, survivors", [(3, 3, 3, 8), (3, 4, 4, 16)])
 def test_move_lemma_needs_the_kwise_union_test(monkeypatch, n, r, k, survivors):
-    # agreement on the shared windows alone leaves candidate centres
+    # agreement on the shared windows alone leaves candidate centres: the
+    # sweep over all 8 orders finds 8 times the identity order's survivors
     monkeypatch.setattr(orders, "is_k_wise_intersecting", lambda fam, k: True)
     report = move_lemma_check(n, r, k)
     assert not report.holds
-    assert (report.cases, report.survivors) == (80, survivors)
+    assert (report.cases, report.survivors) == (10, survivors // 8)
+    assert move_lemma_sweep(n, r, k, union_test=False) == (80, survivors)
+
+
+@pytest.mark.parametrize("union_test", [True, False])
+def test_move_lemma_on_one_order_matches_the_full_sweep(monkeypatch, union_test):
+    # every order is an automorphism's image of the identity order, so the
+    # sweep over all of them counts #orders times its cases and survivors
+    if not union_test:
+        monkeypatch.setattr(orders, "is_k_wise_intersecting", lambda fam, k: True)
+    for n in range(1, 6):
+        count = sum(1 for _ in reference_good_orders(n))
+        for r in range(n, 2 * n):
+            k = 2 * n // (2 * n - r) + 1
+            report = move_lemma_check(n, r, k)
+            assert move_lemma_sweep(n, r, k, union_test) == (
+                count * report.cases, count * report.survivors), (n, r, k)
 
 
 @pytest.mark.parametrize("n, r, k, error", [
@@ -551,7 +568,7 @@ def test_move_lemma_needs_the_kwise_union_test(monkeypatch, n, r, k, survivors):
     (3, 6, 7, ParameterError),          # r = 2n
     (3, 4, 3, ParameterError),          # boundary: k*r = (k-1)*2n
     (3, 4.0, 4, ParameterError),
-    (8, 8, 3, CapacityError),
+    (33, 33, 3, CapacityError),
 ])
 def test_move_lemma_check_preconditions(n, r, k, error):
     with pytest.raises(error):
