@@ -10,7 +10,7 @@ parameters other maximum families appear.
 
 import json
 
-from matchwise import (SearchProblem, canonical_form, complete_uniform_family,
+from matchwise import (SearchProblem, complete_uniform_family,
                        matching_symmetry_generators, matching_universe,
                        max_kwise_family, verify_extremal_characterization)
 
@@ -22,7 +22,7 @@ print(f"max size {result.max_size}; {len(result.witnesses)} maximum families; "
       f"all stars: {result.all_are_stars}; centers {result.star_centers}")
 
 # The same search with M_3's vertex relabellings, passed as three
-# generators of the 2^n n! group, which is never listed: only orbit
+# generators of the 2^n n! group rather than its 48 elements: only orbit
 # representatives are branched at the root, witnesses are expanded back.
 sym = max_kwise_family(SearchProblem(universe, 3,
                                      symmetry=matching_symmetry_generators(3)))
@@ -52,8 +52,3 @@ print(f"\nC([4],2) at k=2: max {control.max_size}, "
       f"{control.all_are_stars}")
 for w in control.witnesses:
     print("  ", w.vertex_sets())
-
-# Witness reports can be deduplicated up to relabelling.
-star_forms = {canonical_form(matching_universe(3, 3).star(v), 3).sets
-              for v in range(1, 7)}
-print("\ndistinct star orbits over M_3:", len(star_forms))

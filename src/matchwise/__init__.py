@@ -37,9 +37,9 @@ from .orders import (ConnectivityReport, GoodCyclicOrder, MoveLemmaReport,
                      swap_halves, transpose)
 from .schema import SCHEMA_VERSION
 from .search import (ExtremalReport, SearchProblem, SearchResult,
-                     apply_permutation, canonical_form, complete_symmetry,
-                     matching_symmetry, matching_symmetry_generators,
-                     max_kwise_family, verify_extremal_characterization)
+                     apply_permutation, complete_symmetry, matching_symmetry,
+                     matching_symmetry_generators, max_kwise_family,
+                     verify_extremal_characterization)
 
 __version__ = "0.1.0"
 
@@ -49,14 +49,14 @@ __all__ = [
     "IntervalFamily", "MatchingGraph", "MatchwiseError", "MoveLemmaReport",
     "ParameterError", "SCHEMA_VERSION", "SaturationStatus", "SearchProblem",
     "SearchResult", "UniformFamily", "apply_permutation", "assign_indices",
-    "binomial", "canonical_form", "common_index", "complete_star_bound",
-    "complete_symmetry", "complete_uniform_family", "connectivity_check",
+    "binomial", "common_index", "complete_star_bound", "complete_symmetry",
+    "complete_uniform_family", "connectivity_check",
     "construct_order_containing", "counting_bound", "enumerate_family",
     "enumerate_good_orders", "enumerated_order_count", "fuzz_assignment",
     "fuzz_common_index", "good_order_count", "identity_order", "intervals",
     "is_interval", "is_k_wise_intersecting", "kwise_witness", "mask_of",
-    "matching_star_bound",
-    "matching_symmetry", "matching_symmetry_generators", "matching_universe",
+    "matching_star_bound", "matching_symmetry",
+    "matching_symmetry_generators", "matching_universe",
     "max_kwise_family", "move_lemma_check", "normalize_rotation",
     "orders_containing_count", "run_fuzz", "saturation", "saturation_sweep",
     "swap_halves", "transpose", "verify_extremal_characterization",

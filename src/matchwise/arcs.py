@@ -154,8 +154,10 @@ class AssignmentReport:
     @property
     def unassigned(self) -> tuple[int, ...]:
         """The indices in 1..k(N-r) that no complement holds, ascending."""
-        span = self.k * (self.size - self.length)
-        return tuple(x for x in range(1, span + 1) if not self.held >> x & 1)
+        # every index >= N is in the distinguished block, so only 1..N-1 can
+        # be free; masking first keeps each shift short whatever k is
+        low = self.held & (1 << self.size) - 1
+        return tuple(x for x in range(1, self.size) if not low >> x & 1)
 
     @property
     def assigned(self) -> Mapping[int, int]:
@@ -211,9 +213,10 @@ def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int, int]:
     # the complement of start s > 1 takes the index s-1 it ends at (bit
     # s-1 of starts), the distinguished one the block N..span
     held = (1 << span + 1) - (1 << n) | starts & -2
-    # bit c of full <=> every index c, c+d, ..., c+(k-1)d of class c is held
+    # bit c of full <=> every index c, c+d, ..., c+(k-1)d of class c is held;
+    # from j = N on, c + jd > N lies in the block, so those j hold anyway
     full = (1 << d + 1) - 2
-    for j in range(k):
+    for j in range(min(k, n)):
         full &= held >> j * d
     return rotation, starts, held, full
 

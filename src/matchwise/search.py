@@ -34,12 +34,14 @@ exactly when its index bitset is a row.  A result counts the branches
 pruned by the size room alone and by the conflict matching.
 
 When vertex relabellings of the universe are supplied, the search
-uses the group they generate without listing it.  Each permutation kept
+uses the group they generate.  To skip redundant permutations it lists
+the vertex images of group elements, coset by coset, until it holds as
+many elements as permutations were given.  Each permutation kept
 as a generator gets one ``bytes`` row mapping each member's index to
 the index of its image (a universe has at most 256 members, so an index
 fits in a byte), and one breadth-first search, ``families._orbit``
-(the walk the order layer's move check also runs), reads any orbit
-from those rows.  Only orbit minima are tried as the minimal
+(the walk the order layer's connectivity check also runs), reads any
+orbit from those rows.  Only orbit minima are tried as the minimal
 member, and in all-maximum mode each found witness is expanded to its
 whole orbit, so the reported witness list is always the full one.
 Without relabellings there are no rows and every orbit is a single
@@ -50,9 +52,7 @@ vary.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, permutations, repeat
 
 from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
@@ -66,8 +66,7 @@ MODES = ("max_size_only", "all_maximum")
 # the most universe members a search takes: a member index is one byte
 # of a generator row
 _MEMBER_CAP = 256
-# the largest n whose group is listed or whose canonical forms are read;
-# M_6's group has 46,080 elements
+# the largest n whose group is listed; M_6's group has 46,080 elements
 _LISTED_MAX_N = 6
 
 
@@ -97,13 +96,6 @@ def apply_permutation(perm: tuple[int, ...], mask: int) -> int:
     return out
 
 
-def _require_listable(n: int) -> None:
-    """Raise ``CapacityError`` when n is above the listing limit."""
-    if n > _LISTED_MAX_N:
-        raise CapacityError(f"group listing and canonical forms support "
-                            f"n <= {_LISTED_MAX_N}, got n={n}")
-
-
 def matching_symmetry(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2^n * n! relabellings of V(M_n) preserving the edge set.
 
@@ -111,7 +103,9 @@ def matching_symmetry(n: int) -> tuple[tuple[int, ...], ...]:
     of any edge.  Listed for n <= 6 only.
     """
     MatchingGraph(n)
-    _require_listable(n)
+    if n > _LISTED_MAX_N:
+        raise CapacityError(
+            f"group listing supports n <= {_LISTED_MAX_N}, got n={n}")
     perms = []
     for edge_perm in permutations(range(1, n + 1)):
         for flips in range(1 << n):
@@ -158,49 +152,6 @@ def complete_symmetry(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(dict.fromkeys((swap, cycle)))
 
 
-class _Memo(dict):
-    """``memo[x]`` is ``fn(x)``, computed once per x."""
-
-    def __init__(self, fn: Callable[[int], int]) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, x: int) -> int:
-        self[x] = out = self.fn(x)
-        return out
-
-
-def _or_rows(rows: list[int], x: int) -> int:
-    """The OR of the rows indexed by x's bits."""
-    out = 0
-    while x:
-        low = x & -x
-        out |= rows[low.bit_length() - 1]
-        x ^= low
-    return out
-
-
-def canonical_form(fam: UniformFamily, n: int) -> UniformFamily:
-    """Lexicographically least relabelling of an M_n family.
-
-    Minimizes the sorted mask tuple over the family's orbit under the
-    2^n * n! edge-preserving vertex relabellings, read from
-    :func:`matching_symmetry_generators` by :func:`_orbit`, so the cost
-    follows the orbit, not the group; idempotent by construction.
-    Supported for n <= 6.
-    """
-    require_type("fam", fam, UniformFamily)
-    graph = MatchingGraph(n)
-    if fam.universe_size != graph.vertex_count:
-        raise ParameterError("family universe does not match M_n")
-    _require_listable(n)
-    images = [_Memo(partial(apply_permutation, g))
-              for g in matching_symmetry_generators(n)]
-    orbit = _orbit(fam.sets, images,
-                   lambda sets, image: tuple(sorted([image[m] for m in sets])))
-    return UniformFamily(fam.universe_size, fam.r, min(orbit))
-
-
 # ---------------------------------------------------------------------------
 # search problem / result
 # ---------------------------------------------------------------------------
@@ -228,6 +179,24 @@ class SearchResult:
     # too few, and because the conflict matching lowers that count too far
     size_prunes: int
     conflict_prunes: int
+
+
+class _Meets(dict):
+    """``meets[x]`` is the bitset of members meeting the vertex set x: the
+    OR of the ``through`` rows of x's vertices, computed once per x."""
+
+    def __init__(self, through: list[int]) -> None:
+        super().__init__()
+        self.through = through
+
+    def __missing__(self, x: int) -> int:
+        through, out, rest = self.through, 0, x
+        while rest:
+            low = rest & -rest
+            out |= through[low.bit_length() - 1]
+            rest ^= low
+        self[x] = out
+        return out
 
 
 def _image(fam: tuple[int, ...], row: bytes) -> tuple[int, ...]:
@@ -311,8 +280,9 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     every mode, so a member index fits in a byte.  Each ``symmetry``
     element must permute the labels 1..universe_size and map the
     universe onto itself; the search uses the group the permutations
-    generate, reads its orbits from the generators and never lists its
-    elements.
+    generate and reads its orbits from the kept generators' rows.  It
+    lists group elements only while skipping redundant permutations, and
+    then no more of them than permutations were given.
     """
     require_type("problem", problem, SearchProblem)
     universe, k, mode = problem.universe, problem.k, problem.mode
@@ -332,7 +302,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     through = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
                for v in range(universe.universe_size)]
     best = max(t.bit_count() for t in through)  # the largest star
-    meets = _Memo(partial(_or_rows, through))
+    meets = _Meets(through)
 
     rows = ([] if problem.symmetry is None else
             _generator_rows(problem.symmetry, masks, universe.universe_size))

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from types import MappingProxyType
 
@@ -210,11 +211,12 @@ def assignment_by_definition(fam: IntervalFamily, k: int) -> dict:
 
 
 def test_assignment_matches_its_definition():
-    # every nonempty start set for N <= 8, every r and each k <= 5 in regime
+    # every nonempty start set for N <= 8, every r and each k <= N + 3 in
+    # regime, so k runs past N, where the class scan stops at j = N
     checked = 0
     for size in range(2, 9):
         for length in range(1, size):
-            for k in range(2, 6):
+            for k in range(2, size + 4):
                 if k * length > (k - 1) * size:
                     continue
                 for m in range(1, size + 1):
@@ -228,7 +230,17 @@ def test_assignment_matches_its_definition():
                         assert report.to_json_obj() == expected.pop("json")
                         assert {f: getattr(report, f) for f in expected} == expected
                         checked += 1
-    assert checked == 9042
+    assert checked == 24661
+
+
+def test_assignment_report_is_linear_in_k():
+    # indices >= N are all held, so neither the class scan nor the
+    # unassigned list walks the k(N-r) indices one by one
+    started = time.perf_counter()
+    report = assign_indices(IntervalFamily(6, 3, (1, 2, 3)), 10**6)
+    assert report.unassigned == (3, 4, 5)
+    assert report.to_json_obj()["unassigned"] == [3, 4, 5]
+    assert time.perf_counter() - started < 1.0
 
 
 # ---------------------------------------------------------------------------

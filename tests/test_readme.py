@@ -1,4 +1,5 @@
-"""Every command in README's "Command line" block runs and exits 0."""
+"""Every command in README's "Command line" block runs and exits 0, and
+its ``python`` blocks run, in order, in one namespace."""
 
 import json
 import re
@@ -29,3 +30,11 @@ def test_readme_command(capsys, line):
     out = capsys.readouterr().out
     if "--format json" in line:
         json.loads(out)
+
+
+def test_readme_python_blocks():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:  # a later block may use names an earlier one set
+        exec(compile(block, str(README), "exec"), namespace)

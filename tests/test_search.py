@@ -11,10 +11,10 @@ from matchwise import search
 from matchwise import (CapacityError, IntervalFamily, MatchingGraph,
                        ParameterError, SearchProblem, UniformFamily,
                        apply_permutation, assign_indices, binomial,
-                       canonical_form, common_index, complete_star_bound,
-                       complete_symmetry, complete_uniform_family,
-                       enumerate_family, identity_order, intervals,
-                       is_interval, is_k_wise_intersecting, kwise_witness,
+                       common_index, complete_star_bound, complete_symmetry,
+                       complete_uniform_family, enumerate_family,
+                       identity_order, intervals, is_interval,
+                       is_k_wise_intersecting, kwise_witness,
                        mask_of, matching_star_bound, matching_symmetry,
                        matching_symmetry_generators, matching_universe,
                        max_kwise_family, move_lemma_check,
@@ -67,36 +67,6 @@ def test_apply_permutation():
     assert apply_permutation(perm, mask_of({1, 3})) == mask_of({2, 5})
 
 
-def test_canonical_form_identifies_star_orbit():
-    fam = matching_universe(3, 3)
-    c5 = canonical_form(fam.star(5), 3)
-    c1 = canonical_form(fam.star(1), 3)
-    assert c5 == c1
-    assert canonical_form(c5, 3) == c5          # idempotent
-    empty = UniformFamily(6, 3, ())
-    assert canonical_form(empty, 3) == empty
-
-
-def test_canonical_form_is_the_least_image_under_the_listed_group():
-    # the reference rule: the least sorted image over every group element
-    rng = random.Random(11)
-    trivial_stabilizers = 0
-    for n in range(1, 5):
-        group = matching_symmetry(n)
-        universe = matching_universe(n, n)
-        fams = [universe.star(1), universe.star(2 * n), UniformFamily(2 * n, n, ())]
-        fams += [UniformFamily.from_masks(2 * n, n, rng.sample(universe.sets, size))
-                 for size in (2, 3, 5) if size < len(universe)]
-        for fam in fams:
-            images = {tuple(sorted(apply_permutation(g, m) for m in fam.sets))
-                      for g in group}
-            trivial_stabilizers += len(images) == len(group)
-            got = canonical_form(fam, n)
-            assert got.sets == min(images), (n, fam.sets)
-            assert (got.universe_size, got.r) == (fam.universe_size, fam.r)
-    assert trivial_stabilizers > 0
-
-
 def test_complete_symmetry_generates_the_symmetric_group():
     for m in range(1, 7):
         identity = tuple(range(1, m + 1))
@@ -109,10 +79,8 @@ def test_complete_symmetry_generates_the_symmetric_group():
 
 
 def test_group_listing_capacity():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="^group listing supports n <= 6, got n=7$"):
         matching_symmetry(7)
-    with pytest.raises(CapacityError):
-        canonical_form(matching_universe(7, 13), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +365,8 @@ NON_INT_ARGUMENTS = [
     (matching_symmetry, (True,)),
     (matching_symmetry_generators, (3.0,)),
     (matching_symmetry_generators, ("3",)),
-    (lambda n: canonical_form(matching_universe(3, 3), n), (3.0,)),
-    (lambda n: canonical_form(UniformFamily(2, 1, (1,)), n), (True,)),
+    (lambda mask: apply_permutation((2, 1), mask), (True,)),
+    (lambda n: matching_universe(n, 3), (3.0,)),
     (complete_symmetry, (3.0,)),
     (complete_symmetry, (True,)),
     # the layers below the search
@@ -435,8 +403,6 @@ MALFORMED_MASK_CALLS = [
     pytest.param(lambda: apply_permutation((2, 1), 4), id="permute-short"),
     pytest.param(lambda: apply_permutation((0, 1), 1), id="permute-label-0"),
     pytest.param(lambda: apply_permutation((1.0, 2), 1), id="permute-label-float"),
-    pytest.param(lambda: canonical_form(matching_universe(4, 4), 3),
-                 id="canonical-wrong-n"),
     pytest.param(lambda: max_kwise_family(SearchProblem(UniformFamily(6, 0, (0,)), 3)),
                  id="search-r-0"),
     pytest.param(lambda: complete_uniform_family(4, 5), id="complete-r-beyond-m"),
@@ -492,7 +458,7 @@ WRONG_OBJECT_TYPES = [
     lambda: common_index(None, 3),
     lambda: kwise_witness(None, 3),
     lambda: is_k_wise_intersecting((3, 5), 2),
-    lambda: canonical_form(None, 3),
+    lambda: kwise_witness(IntervalFamily(6, 2, (1, 2)), 3),  # an arc family
     lambda: max_kwise_family(SearchProblem(None, 3)),
     lambda: max_kwise_family(None),
 ]
