@@ -373,8 +373,15 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
 
 
 def is_k_wise_intersecting(fam: UniformFamily, k: int) -> bool:
-    """True when every k members (repetition allowed) share a vertex."""
-    return kwise_witness(fam, k) is None
+    """True when every k members (repetition allowed) share a vertex.
+
+    Every k >= |fam| asks whether all members share one, so the witness
+    search runs at min(k, |fam|) (at least 2, the least arity) and never
+    builds a k-tuple.
+    """
+    require_type("fam", fam, UniformFamily)
+    require_arity(k)
+    return kwise_witness(fam, min(k, max(2, len(fam)))) is None
 
 
 # ---------------------------------------------------------------------------

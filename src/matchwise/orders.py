@@ -6,12 +6,12 @@ represented uniquely by pinning vertex 2n to position 2n, which forces
 vertex n to position n; there are 2^(n-1) * (n-1)! such normalized
 orders, each fixed by its positions 1..n-1.  One enumerator lays them
 out as byte rows, each checked by the rule the order type applies; the
-count, ``saturation_sweep``'s per-n table and the order objects are
-built from those rows.  The moves act on seqs as position maps, whose
-orbit from the identity ``families._orbit`` walks, as the symmetry
-search does.  Every length-r window of a good order (all 2n are
-listed in one rolling pass) is a member of the union family: an
-independent set when r <= n, a covering set when r >= n.
+count, ``saturation_sweep`` and the order objects read those rows as
+they are made, and nothing keeps them.  The moves act on seqs as
+position maps, whose orbit from the identity ``families._orbit`` walks,
+as the symmetry search does.  Every length-r window of a good order
+(all 2n are listed in one rolling pass) is a member of the union
+family: an independent set when r <= n, a covering set when r >= n.
 
 Saturation ties the two layers together: an order is saturated by a
 family when the maximum possible number (r) of family members appear
@@ -176,27 +176,6 @@ def enumerated_order_count(n: int) -> int:
     return sum(1 for _ in _order_rows(n))
 
 
-@functools.lru_cache(maxsize=4)
-def _order_table(n: int) -> bytes:
-    """The rows of :func:`_order_rows`, in its order, one after another:
-    order i is ``table[2n*i : 2n*(i+1)]`` (2n <= 16, so a label fits a
-    byte).  Each row is checked as it is built; one ``bytearray`` holds
-    them, so the build peaks near twice the table.  46 KB at n = 6,
-    645 KB at n = 7, 10 MB at n = 8."""
-    table = bytearray()
-    for row in _order_rows(n):
-        table += row
-    return bytes(table)
-
-
-def _table_seqs(n: int):
-    """Yield the seqs of the order table, in enumeration order, as bytes
-    (which index and iterate as the int labels)."""
-    table, size = _order_table(n), 2 * n
-    for i in range(0, len(table), size):
-        yield table[i:i + size]
-
-
 # ---------------------------------------------------------------------------
 # windows (intervals) of an order
 # ---------------------------------------------------------------------------
@@ -213,7 +192,7 @@ def intervals(order: GoodCyclicOrder, r: int) -> list[tuple[int, int]]:
 
 
 def _windows(seq, r: int) -> list[int]:
-    """The masks of the length-r windows of ``seq`` (a tuple or a table
+    """The masks of the length-r windows of ``seq`` (a tuple or a bytes
     row), the window starting at position p at index p-1: each the
     previous one minus the leaving vertex plus the entering one."""
     bits = [1 << v - 1 for v in seq]
@@ -399,13 +378,14 @@ class SaturationStatus:
 
 
 def _saturate(n: int, seqs, fam: UniformFamily, k: int) -> tuple[SaturationStatus, ...]:
-    """The saturation status of each of ``seqs`` (tuples or table rows)
+    """The saturation status of each of ``seqs`` (tuples or bytes rows)
     under ``fam``, in order.
 
     The family is checked once, before any seq is read: it must lie in
     the union family at its cardinality r with k*r < (k-1)*2n strictly.
     :func:`common_index` (a function of the member starts alone) runs
-    once per distinct tuple of starts.
+    once per distinct tuple of starts, and each distinct outcome is one
+    shared status.
     """
     graph = MatchingGraph(n)
     size, r = graph.vertex_count, fam.r
@@ -422,6 +402,7 @@ def _saturate(n: int, seqs, fam: UniformFamily, k: int) -> tuple[SaturationStatu
                 f"family member {s:#x} is not in the union family for r={r}")
     members = frozenset(fam.sets)
     common = {}                     # member starts -> their common position
+    shared = {}                     # a status's fields -> the status
     out = []
     for seq in seqs:
         starts = tuple(p for p, mask in enumerate(_windows(seq, r), 1) if mask in members)
@@ -430,12 +411,15 @@ def _saturate(n: int, seqs, fam: UniformFamily, k: int) -> tuple[SaturationStatu
                 f"{len(starts)} members appear as windows but at most {r} are "
                 "possible for a k-wise intersecting family")
         if len(starts) < r:
-            out.append(SaturationStatus(False, len(starts)))
-            continue
-        if starts not in common:
-            common[starts] = common_index(IntervalFamily(size, r, starts), k)
-        position = common[starts]
-        out.append(SaturationStatus(True, r, position, seq[position - 1]))
+            key = False, len(starts)
+        else:
+            if starts not in common:
+                common[starts] = common_index(IntervalFamily(size, r, starts), k)
+            position = common[starts]
+            key = True, r, position, seq[position - 1]
+        if key not in shared:
+            shared[key] = SaturationStatus(*key)
+        out.append(shared[key])
     return tuple(out)
 
 
@@ -463,13 +447,14 @@ def saturation_sweep(n: int, fam: UniformFamily, k: int) -> tuple[SaturationStat
     :func:`enumerate_good_orders`, in its order, with the same outcomes
     and exceptions.
 
-    The arguments and the family are checked once, and the orders are
-    read from the per-n order table.
+    The arguments and the family are checked once, before any order is
+    read; the orders are then read from the enumerator one checked row
+    at a time, and no row is kept.
     """
     _require_enumerable(n)
     require_type("fam", fam, UniformFamily)
     require_arity(k)
-    return _saturate(n, _table_seqs(n), fam, k)
+    return _saturate(n, _order_rows(n), fam, k)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -175,6 +176,7 @@ def test_star_is_k_wise_for_every_k():
 def test_pairwise_but_not_triple():
     fam = UniformFamily.from_vertex_sets(6, 3, [{1, 2, 6}, {1, 5, 3}, {4, 2, 3}])
     assert is_k_wise_intersecting(fam, 2)
+    assert not is_k_wise_intersecting(fam, 10**12)  # as at k = |F| = 3
     witness = kwise_witness(fam, 3)
     assert witness is not None and len(witness) == 3
     assert set(witness) == set(fam.sets)
@@ -193,6 +195,18 @@ def test_witness_members_and_padding():
     witness = kwise_witness(fam, 4)
     assert witness is not None and len(witness) == 4
     assert all(w in fam.sets for w in witness)
+
+
+def test_huge_arity_check_allocates_no_tuple():
+    # every k >= |F| asks whether all members meet, so no k-tuple is built
+    fam = UniformFamily.from_vertex_sets(4, 2, [{1, 2}, {3, 4}])
+    tracemalloc.start()
+    try:
+        assert not is_k_wise_intersecting(fam, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_k_must_be_at_least_two():

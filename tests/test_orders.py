@@ -423,25 +423,27 @@ def test_saturation_needs_the_strict_regime():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_order_table_holds_the_enumerated_orders(n):
-    # rows, table and orders, row for row, against the one-order-at-a-time
+    # rows and orders, row for row, against the one-order-at-a-time
     # reference rather than against each other
     expected = list(reference_good_orders(n))
     assert [tuple(row) for row in orders._order_rows(n)] == expected
-    assert len(orders._order_table(n)) == 2 * n * good_order_count(n)
-    assert [tuple(seq) for seq in orders._table_seqs(n)] == expected
     assert [order.seq for order in enumerate_good_orders(n)] == expected
     assert enumerated_order_count(n) == len(expected)
 
 
 def test_order_table_build_peaks_below_three_tables():
-    orders._order_table.cache_clear()
+    # the sweep keeps no table of the orders: it peaks below three byte
+    # tables of them, and its statuses, all one outcome, are one object
+    n = 7
     tracemalloc.start()
     try:
-        table = orders._order_table(6)
+        statuses = saturation_sweep(n, matching_universe(n, 9).star(2 * n), 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * len(table)
+    assert peak < 3 * 2 * n * good_order_count(n)
+    assert len(statuses) == good_order_count(n) == 46080
+    assert len(set(map(id, statuses))) == 1
 
 
 def test_rows_are_checked_against_a_wrong_partner_table(monkeypatch, capsys):
@@ -455,10 +457,19 @@ def test_rows_are_checked_against_a_wrong_partner_table(monkeypatch, capsys):
         bad[1], bad[2] = bad[2], bad[1]
         return size, labels, bytes(bad), edge
 
+    def sweep():
+        return saturation_sweep(4, matching_universe(4, 5).star(8), 3)
+
+    sweep()                         # a sweep before the swap leaves nothing behind
     monkeypatch.setattr(orders, "_layout", swapped)
     with pytest.raises(IntegrityError, match="partners must sit exactly 4 apart"):
         list(orders._order_rows(4))
+    with pytest.raises(IntegrityError, match="partners must sit exactly 4 apart"):
+        sweep()
     assert main(["circle", "--n", "4", "--action", "count", "--format", "json"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "integrity"
+    assert main(["circle", "--n", "4", "--r", "5", "--k", "3", "--action", "saturate",
+                 "--format", "json"]) == 4
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "integrity"
 
 
