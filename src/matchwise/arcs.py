@@ -9,12 +9,12 @@ The central procedure, :func:`assign_indices`, is an executable
 double-counting argument on the complements of the arcs (which are
 arcs of length N-r).  After rotating the labels so one distinguished
 complement ends at position N, every other complement is assigned the
-index it ends at and the distinguished one the block [N, k(N-r)].  The
-rotated start set and the assigned indices are each one bitset, and
-both entry points share one kernel over them; the report rebuilds the
-sorted starts and the unassigned indices only when they are read.  The
-range [1, k(N-r)] falls into residue classes mod N-r.  Two mutually
-exclusive outcomes arise:
+index it ends at and the distinguished one the block [N, k(N-r)].  So
+the rotated start set, one bitset, says which indices are assigned;
+both entry points share one kernel over it, holding O(N) state for any
+k, and the report rebuilds the sorted starts and the unassigned indices
+only when they are read.  The range [1, k(N-r)] falls into residue
+classes mod N-r.  Two mutually exclusive outcomes arise:
 
 * every class keeps an unassigned index, which forces the family to
   have at most r members ("bounded"), or
@@ -117,10 +117,11 @@ class AssignmentReport:
     distinguished member starts at 1); ``rotation`` records the shift
     that was applied to the input labels.  The witness, when present,
     is held as its k members in the input labelling.  The procedure
-    holds two bitsets: ``starts_mask`` has bit s-1 set for each rotated
-    start s, and ``held`` has bit x set for each assigned index x.
-    ``normalized_starts``, ``unassigned``, ``assigned``, ``classes`` and
-    ``witness_complements`` are rebuilt from the fields on demand.
+    holds one bitset: ``starts_mask`` has bit s-1 set for each rotated
+    start s, so an index x < N is assigned iff bit x is set, and every
+    index from N on is assigned.  ``normalized_starts``, ``unassigned``,
+    ``assigned``, ``classes`` and ``witness_complements`` are rebuilt
+    from the fields on demand.
     """
 
     size: int
@@ -128,7 +129,6 @@ class AssignmentReport:
     k: int
     rotation: int
     starts_mask: int
-    held: int
     outcome: str                           # "bounded" | "covering_witness"
     witness_members: tuple[int, ...] | None = None   # input-label starts, k of them
 
@@ -154,10 +154,8 @@ class AssignmentReport:
     @property
     def unassigned(self) -> tuple[int, ...]:
         """The indices in 1..k(N-r) that no complement holds, ascending."""
-        # every index >= N is in the distinguished block, so only 1..N-1 can
-        # be free; masking first keeps each shift short whatever k is
-        low = self.held & (1 << self.size) - 1
-        return tuple(x for x in range(1, self.size) if not low >> x & 1)
+        # every index >= N is in the distinguished block, so only 1..N-1 can be free
+        return tuple(x for x in range(1, self.size) if not self.starts_mask >> x & 1)
 
     @property
     def assigned(self) -> Mapping[int, int]:
@@ -185,13 +183,13 @@ class AssignmentReport:
         return obj
 
 
-def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int, int]:
-    """The assignment's bitsets: ``(rotation, starts, held, full)``.
+def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int]:
+    """The assignment's bitsets: ``(rotation, starts, full)``.
 
-    ``starts`` has bit s-1 set for each rotated start s, ``held`` bit x
-    for each assigned index x, and ``full`` bit c for each residue class
-    c whose indices are all held.  Raises ``ParameterError`` unless
-    k >= 2, fam is nonempty and k*r <= (k-1)*N.
+    ``starts`` has bit s-1 set for each rotated start s, and ``full``
+    bit c for each residue class c whose indices are all assigned.
+    Raises ``ParameterError`` unless k >= 2, fam is nonempty and
+    k*r <= (k-1)*N.
     """
     require_arity(k)
     if not fam.starts:
@@ -202,7 +200,6 @@ def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int, int]:
             f"need k*r <= (k-1)*N for the index accounting, got k={k}, r={r}, N={n}")
 
     d = n - r                      # class modulus; complements have length d
-    span = k * d                   # indices 1..span, span >= n
     # the complement of the arc at s ends at s-1: the distinguished one,
     # ending last, is start 1's if present, else the largest start's
     rotation = 0 if fam.starts[0] == 1 else (1 - fam.starts[-1]) % n
@@ -211,14 +208,14 @@ def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int, int]:
         starts |= 1 << s - 1
     starts = (starts << rotation | starts >> n - rotation) & (1 << n) - 1
     # the complement of start s > 1 takes the index s-1 it ends at (bit
-    # s-1 of starts), the distinguished one the block N..span
-    held = (1 << span + 1) - (1 << n) | starts & -2
-    # bit c of full <=> every index c, c+d, ..., c+(k-1)d of class c is held;
-    # from j = N on, c + jd > N lies in the block, so those j hold anyway
+    # s-1 of starts), the distinguished one the block N..k*d (k*d >= N)
+    assigned = starts & -2 | -1 << n    # bit x <=> index x is assigned
+    # bit c of full <=> every index c, c+d, ..., c+(k-1)d of class c is
+    # assigned; from j = N on, c + jd > N lies in the block
     full = (1 << d + 1) - 2
     for j in range(min(k, n)):
-        full &= held >> j * d
-    return rotation, starts, held, full
+        full &= assigned >> j * d
+    return rotation, starts, full
 
 
 def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
@@ -231,13 +228,13 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
     one keeps reports reproducible.
     """
     require_type("fam", fam, IntervalFamily)
-    rotation, starts, held, full = _assign(fam, k)
+    rotation, starts, full = _assign(fam, k)
     n, r = fam.size, fam.length
     if not full:
         if len(fam) > r:
             raise IntegrityError("every class has an unassigned index yet "
                                  "|family| > r; the index accounting is broken")
-        return AssignmentReport(n, r, k, rotation, starts, held, "bounded")
+        return AssignmentReport(n, r, k, rotation, starts, "bounded")
 
     # A fully assigned class c: the complements ending at its indices
     # cover the circle, so the members they complement share no
@@ -252,8 +249,7 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
         common &= fam.mask(s)
     if common:
         raise IntegrityError("covering witness fails to cover the circle")
-    return AssignmentReport(n, r, k, rotation, starts, held,
-                            "covering_witness", members)
+    return AssignmentReport(n, r, k, rotation, starts, "covering_witness", members)
 
 
 def common_index(fam: IntervalFamily, k: int) -> int:
@@ -277,20 +273,19 @@ def common_index(fam: IntervalFamily, k: int) -> int:
     if len(fam) != r:
         raise ParameterError(f"family has {len(fam)} arcs, expected exactly r={r}")
 
-    k = min(k, r + 2)  # still strict; the classes it drops hold only indices >= N
-    rotation, starts, held, full = _assign(fam, k)
+    rotation, starts, full = _assign(fam, k)
     if full:
         raise IntegrityError(
             "family produced a covering witness; it was not k-wise intersecting")
 
     d = n - r
-    free = ~held & (1 << k * d + 1) - 2     # bit x <=> index x is unassigned
+    free = ~starts & (1 << n) - 2     # bit x <=> index x < N is unassigned
     if free.bit_count() != d:
         raise IntegrityError(
             f"expected exactly {d} unassigned indices, found {free.bit_count()}")
     x_norm = (free & -free).bit_length() - 1
     if free >> x_norm != (1 << d) - 1:
-        u = tuple(x for x in range(1, k * d + 1) if free >> x & 1)
+        u = tuple(x for x in range(1, n) if free >> x & 1)
         raise IntegrityError(
             f"unassigned indices {u} do not form one contiguous stretch")
 

@@ -243,6 +243,7 @@ class UniformFamily:
             n, r = obj["n"], obj["r"]
             if type(n) is not int or type(r) is not int:
                 raise TypeError
+            MatchingGraph(n)  # names the n given, not the 2n it implies
             return cls.from_vertex_sets(2 * n, r, obj["sets"])
         except (KeyError, TypeError):
             raise ParameterError(

@@ -522,8 +522,7 @@ def verify_extremal_characterization(n: int, r: int, k: int,
     all_are_stars = result.all_are_stars
     if uniqueness_asserted and all_are_stars:
         # uniqueness is two-sided: every star must also be a witness
-        stars = {universe.star(v).sets for v in range(1, 2 * n + 1)}
-        all_are_stars = stars == {w.sets for w in result.witnesses}
+        all_are_stars = len(result.star_centers) == 2 * n
     return ExtremalReport(
         n=n, r=r, k=k, mode=mode,
         bound_expected=bound,

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations
 from types import MappingProxyType
 
@@ -234,13 +235,27 @@ def test_assignment_matches_its_definition():
 
 
 def test_assignment_report_is_linear_in_k():
-    # indices >= N are all held, so neither the class scan nor the
+    # indices >= N are all assigned, so neither the class scan nor the
     # unassigned list walks the k(N-r) indices one by one
     started = time.perf_counter()
     report = assign_indices(IntervalFamily(6, 3, (1, 2, 3)), 10**6)
     assert report.unassigned == (3, 4, 5)
     assert report.to_json_obj()["unassigned"] == [3, 4, 5]
     assert time.perf_counter() - started < 1.0
+    # nothing is sized by k: a huge arity answers as k = 3 in constant memory
+    fam = IntervalFamily(7, 3, (3, 4, 5))
+    small = assign_indices(fam, 3)
+    tracemalloc.start()
+    try:
+        huge = assign_indices(fam, 10**15)
+        index = common_index(fam, 10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge.outcome == small.outcome == "bounded"
+    assert huge.unassigned == small.unassigned == (1, 2, 3, 4)
+    assert index == common_index(fam, 3) == 5
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------

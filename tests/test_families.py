@@ -385,6 +385,12 @@ def test_from_json_rejects_malformed_input(text):
         UniformFamily.from_json(text)
 
 
+@pytest.mark.parametrize("n, error", [(-1, ParameterError), (40, CapacityError)])
+def test_from_json_names_the_n_it_was_given(n, error):
+    with pytest.raises(error, match=f"n={n}$"):
+        UniformFamily.from_json_obj({"n": n, "r": 1, "sets": []})
+
+
 def test_from_vertex_sets_rejects_non_integer_labels():
     for label in (2.0, True, "1"):
         with pytest.raises(ParameterError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -562,6 +563,23 @@ def test_characterization_m4_r5_k3():
     assert report.witness_count == 8
     assert report.star_centers == tuple(range(1, 9))
     assert report.ok
+
+
+def test_characterization_needs_every_star_as_a_witness(monkeypatch):
+    # negative control: with star(1) missing from the witnesses, every
+    # witness is still a star, yet uniqueness fails
+    real = search.max_kwise_family
+
+    def drop_first_star(problem):
+        result = real(problem)
+        return dataclasses.replace(result, witnesses=result.witnesses[1:],
+                                   star_centers=result.star_centers[1:])
+
+    monkeypatch.setattr(search, "max_kwise_family", drop_first_star)
+    report = verify_extremal_characterization(4, 5, 3)
+    assert report.all_are_stars is False
+    assert not report.ok
+    assert report.witness_count == 7
 
 
 def test_characterization_m4_r4_k3():
