@@ -5,9 +5,9 @@ Arc families on a circle: certificates either way
 The engine behind the window analysis works on an abstract circle of N
 positions.  For a family of length-r arcs and an arity k with
 k*r <= (k-1)*N, the end-index assignment always produces one of two
-certificates: a "bounded" report forcing at most r arcs, or k
-complement arcs covering the whole circle, which exhibits k members
-with empty common intersection.
+certificates: a "bounded" report forcing at most r arcs, or complement
+arcs covering the whole circle, which exhibit at most k distinct
+members with empty common intersection.
 """
 
 import json

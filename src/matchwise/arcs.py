@@ -18,14 +18,16 @@ classes mod N-r.  Two mutually exclusive outcomes arise:
 
 * every class keeps an unassigned index, which forces the family to
   have at most r members ("bounded"), or
-* some class is fully assigned, in which case the k complements ending
-  at that class's indices cover the whole circle, i.e. the k matching
-  arcs have empty intersection ("covering_witness").
+* some class is fully assigned, in which case the complements ending
+  at that class's indices cover the whole circle, i.e. the matching
+  arcs they complement have empty intersection ("covering_witness").
+  Every index from N on names the distinguished complement, so these
+  are at most min(k, N) distinct arcs.
 
 So a covering witness certifies that the family was not k-wise
 intersecting, while the bounded outcome certifies the size cap.  The
-witness is held as its k members, checked to share no position; their
-complements are rebuilt from them when read.
+witness is held as its distinct members, checked to share no position;
+their complements are rebuilt from them when read.
 :func:`common_index` sharpens the bounded outcome for families of size
 exactly r: the unassigned indices must form one contiguous stretch,
 and the family must consist of precisely the r arcs through a single
@@ -35,8 +37,6 @@ position, which is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from .errors import IntegrityError, ParameterError, require_arity, require_int, require_type
 
@@ -116,12 +116,12 @@ class AssignmentReport:
     distinguished complement ends at position N (equivalently, the
     distinguished member starts at 1); ``rotation`` records the shift
     that was applied to the input labels.  The witness, when present,
-    is held as its k members in the input labelling.  The procedure
-    holds one bitset: ``starts_mask`` has bit s-1 set for each rotated
-    start s, so an index x < N is assigned iff bit x is set, and every
-    index from N on is assigned.  ``normalized_starts``, ``unassigned``,
-    ``assigned``, ``classes`` and ``witness_complements`` are rebuilt
-    from the fields on demand.
+    is held as its distinct members in the input labelling.  The
+    procedure holds one bitset: ``starts_mask`` has bit s-1 set for each
+    rotated start s, so an index x < N is assigned iff bit x is set, and
+    every index from N on is assigned.  ``normalized_starts``,
+    ``unassigned`` and ``witness_complements`` are rebuilt from the
+    fields on demand.
     """
 
     size: int
@@ -130,7 +130,7 @@ class AssignmentReport:
     rotation: int
     starts_mask: int
     outcome: str                           # "bounded" | "covering_witness"
-    witness_members: tuple[int, ...] | None = None   # input-label starts, k of them
+    witness_members: tuple[int, ...] | None = None   # input-label starts, at most min(k, N)
 
     @property
     def bounded(self) -> bool:
@@ -156,19 +156,6 @@ class AssignmentReport:
         """The indices in 1..k(N-r) that no complement holds, ascending."""
         # every index >= N is in the distinguished block, so only 1..N-1 can be free
         return tuple(x for x in range(1, self.size) if not self.starts_mask >> x & 1)
-
-    @property
-    def assigned(self) -> Mapping[int, int]:
-        """Index -> normalized start; start 1 (listed first) holds N..k(N-r)."""
-        block = range(self.size, self.k * (self.size - self.length) + 1)
-        return MappingProxyType({**{s - 1: s for s in self.normalized_starts[1:]},
-                                 **dict.fromkeys(block, 1)})
-
-    @property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """The residue classes of 1..k(N-r) mod N-r."""
-        d = self.size - self.length
-        return tuple(tuple(c + j * d for j in range(self.k)) for c in range(1, d + 1))
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -239,11 +226,12 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
     # A fully assigned class c: the complements ending at its indices
     # cover the circle, so the members they complement share no
     # position.  Complement end e <-> member start e+1, and indices >= N
-    # all belong to the distinguished complement, which ends at N.
+    # all belong to the distinguished complement, which ends at N, so the
+    # class is walked only up to its first index >= N.
     d = n - r
     c = (full & -full).bit_length() - 1
     members = tuple(wrap((x + 1 if x < n else 1) - rotation, n)
-                    for x in range(c, k * d + 1, d))
+                    for x in range(c, min(k * d, n + d - 1) + 1, d))
     common = -1
     for s in members:
         common &= fam.mask(s)

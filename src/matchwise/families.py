@@ -102,6 +102,7 @@ class MatchingGraph:
 
     def full_edge_count(self, mask: int) -> int:
         """Number of edges with both endpoints in ``mask``."""
+        require_mask(mask)
         lo = mask & ((1 << self.n) - 1)
         hi = mask >> self.n
         return (lo & hi).bit_count()
@@ -112,6 +113,7 @@ class MatchingGraph:
     def covers_all_edges(self, mask: int) -> bool:
         """True when ``mask`` meets every edge, i.e. contains a maximum
         independent set."""
+        require_mask(mask)
         lo = mask & ((1 << self.n) - 1)
         hi = mask >> self.n
         return (lo | hi) == (1 << self.n) - 1
@@ -331,14 +333,16 @@ def complete_uniform_family(m: int, r: int) -> UniformFamily:
 # ---------------------------------------------------------------------------
 
 def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
-    """Search for k members (repetition allowed) with empty intersection.
+    """Search for at most k distinct members with empty intersection.
 
-    Returns None when every choice of at most k members has a common
-    element; otherwise a k-tuple of member masks whose intersection is
-    empty.  Because repeating a member only grows the intersection, it
-    suffices to scan subsets of at most min(k, |fam|) distinct members.
-    Members are scanned in ascending mask order with a running
-    intersection, so violations terminate early.
+    Returns None when every choice of at most k members (repetition
+    allowed) has a common element; otherwise the member masks, distinct
+    and ascending, of the first choice the scan finds with an empty
+    intersection.  Members are scanned in ascending mask order with a
+    running intersection, so violations terminate early; a member that
+    does not shrink it is skipped, since an inclusion-minimal witness
+    shrinks it at every step.  So a witness has at most min(k, |fam|,
+    r+1) members, and the scan nests no deeper.
     """
     require_type("fam", fam, UniformFamily)
     require_arity(k)
@@ -358,10 +362,12 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
 
     def descend(start: int, inter: int, left: int) -> tuple[int, ...] | None:
         if inter == 0:
-            return tuple(chosen + [chosen[-1]] * (k - len(chosen)))
+            return tuple(chosen)
         if left == 0 or inter & common[start] or (inter, left) in failed:
             return None
         for i in range(start, len(members)):
+            if inter & members[i] == inter:
+                continue
             chosen.append(members[i])
             found = descend(i + 1, inter & members[i], left - 1)
             chosen.pop()
@@ -370,19 +376,12 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
         failed.add((inter, left))
         return None
 
-    return descend(0, full, min(k, len(members)))
+    return descend(0, full, k)
 
 
 def is_k_wise_intersecting(fam: UniformFamily, k: int) -> bool:
-    """True when every k members (repetition allowed) share a vertex.
-
-    Every k >= |fam| asks whether all members share one, so the witness
-    search runs at min(k, |fam|) (at least 2, the least arity) and never
-    builds a k-tuple.
-    """
-    require_type("fam", fam, UniformFamily)
-    require_arity(k)
-    return kwise_witness(fam, min(k, max(2, len(fam)))) is None
+    """True when every k members (repetition allowed) share a vertex."""
+    return kwise_witness(fam, k) is None
 
 
 # ---------------------------------------------------------------------------

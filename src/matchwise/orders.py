@@ -239,8 +239,8 @@ def counting_bound(n: int, r: int) -> int:
     admissible family size.  The division is exact; a remainder would
     mean one of the counting formulas is wrong.
     """
+    denominator = orders_containing_count(n, r)  # checks n and r
     numerator = r * good_order_count(n)
-    denominator = orders_containing_count(n, r)
     q, rem = divmod(numerator, denominator)
     if rem:
         raise IntegrityError(

@@ -89,7 +89,7 @@ def apply_permutation(perm: tuple[int, ...], mask: int) -> int:
             low = rest & -rest
             out |= 1 << (perm[low.bit_length() - 1] - 1)
             rest ^= low
-    except (TypeError, IndexError, ValueError):
+    except (TypeError, LookupError, ValueError):
         raise ParameterError(
             f"cannot apply {perm!r} to mask {mask:#x}: it must list an int "
             "label >= 1 for each vertex of the mask") from None

@@ -198,24 +198,26 @@ def windows_of(seq: tuple[int, ...], r: int) -> set[frozenset[int]]:
 
 def first_kwise_witness(members: tuple[int, ...], k: int
                         ) -> tuple[int, ...] | None:
-    """The first k members with an empty intersection in the k-wise
+    """The first members with an empty intersection in the k-wise
     check's scan order, by a plain depth-first walk with no pruning.
 
     Members are taken by ascending (size, mask).  Strictly ascending
     index tuples up to min(k, |members|) long are visited depth first,
-    a prefix before its extensions.  The first tuple whose masks have
-    no common bit is returned, padded to k with its last mask; None
-    when no tuple has one.
+    a prefix before its extensions, skipping any pick that leaves the
+    running intersection as it was.  The first tuple whose masks have
+    no common bit is returned as picked; None when no tuple has one.
     """
     order = sorted(members, key=lambda m: (m.bit_count(), m))
     cap = min(k, len(order))
 
     def walk(prefix: tuple[int, ...], start: int, common: int):
         for i in range(start, len(order)):
-            picked = prefix + (order[i],)
             meet = common & order[i]
+            if meet == common:
+                continue
+            picked = prefix + (order[i],)
             if meet == 0:
-                return picked + (picked[-1],) * (k - len(picked))
+                return picked
             if len(picked) < cap:
                 found = walk(picked, i + 1, meet)
                 if found is not None:

@@ -190,11 +190,27 @@ def test_empty_family_is_k_wise():
     assert is_k_wise_intersecting(UniformFamily(6, 3, ()), 2)
 
 
-def test_witness_members_and_padding():
+def test_witness_members_are_distinct():
     fam = UniformFamily.from_vertex_sets(4, 2, [{1, 2}, {3, 4}])
-    witness = kwise_witness(fam, 4)
-    assert witness is not None and len(witness) == 4
-    assert all(w in fam.sets for w in witness)
+    assert kwise_witness(fam, 4) == (mask_of({1, 2}), mask_of({3, 4}))
+
+
+def test_witness_scan_depth_is_bounded_by_the_universe():
+    # a star of 1,176 triples plus one triple missing vertex 1: only
+    # members that shrink the intersection are picked, so the scan nests
+    # at most r + 1 deep however large k and the family are
+    complete = complete_uniform_family(50, 3)
+    fam = UniformFamily.from_masks(50, 3, complete.star(1).sets + complete.sets[-1:])
+    assert len(fam) == 1177
+    assert not is_k_wise_intersecting(fam, 10**6)
+    witness = kwise_witness(fam, 10**6)
+    assert witness == tuple(mask_of(s) for s in
+                            ({1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {48, 49, 50}))
+    assert set(witness) <= set(fam.sets)
+    inter = -1
+    for s in witness:
+        inter &= s
+    assert inter == 0
 
 
 def test_huge_arity_check_allocates_no_tuple():

@@ -25,11 +25,16 @@ def _outside_rotation(fam, members):
     return None
 
 
-@pytest.mark.parametrize("forge", [
-    _outside_rotation,                                   # a member not in the family
-    lambda fam, members: (members[0],) * len(members),   # k arcs sharing a position
-], ids=["member-outside-family", "members-share-a-position"])
-def test_assignment_fuzz_rejects_forged_witnesses(monkeypatch, forge):
+SHARING = "witness is not family arcs sharing no position"
+
+
+@pytest.mark.parametrize("forge, note", [
+    (_outside_rotation, SHARING),                                   # a member not in the family
+    (lambda fam, members: (members[0],) * len(members), SHARING),   # arcs sharing a position
+    (lambda fam, members: (*members, members[-1]),                  # a member listed twice
+     "witness does not list at most k distinct members"),
+], ids=["member-outside-family", "members-share-a-position", "members-repeat"])
+def test_assignment_fuzz_rejects_forged_witnesses(monkeypatch, forge, note):
     real = matchwise.fuzz.assign_indices
     forged = []
 
@@ -45,8 +50,7 @@ def test_assignment_fuzz_rejects_forged_witnesses(monkeypatch, forge):
     summary = fuzz_assignment(trials=300, seed=0)
     assert len(forged) > 50
     assert [v["starts"] for v in summary.violations] == [list(s) for s in forged]
-    assert {v["note"] for v in summary.violations} == {
-        "witness is not family arcs sharing no position"}
+    assert {v["note"] for v in summary.violations} == {note}
 
 
 def test_common_index_fuzz_finds_no_violations():

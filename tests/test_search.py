@@ -13,7 +13,7 @@ from matchwise import (CapacityError, IntervalFamily, MatchingGraph,
                        ParameterError, SearchProblem, UniformFamily,
                        apply_permutation, assign_indices, binomial,
                        common_index, complete_star_bound, complete_symmetry,
-                       complete_uniform_family, enumerate_family,
+                       complete_uniform_family, counting_bound, enumerate_family,
                        identity_order, intervals, is_interval,
                        is_k_wise_intersecting, kwise_witness,
                        mask_of, matching_star_bound, matching_symmetry,
@@ -392,6 +392,7 @@ NON_INT_ARGUMENTS = [
     (vertices_of, (2.0,)),
     (lambda mask: apply_permutation((2, 1), mask), (1.0,)),
     (lambda n: saturation_sweep(n, matching_universe(3, 3).star(1), 3), (3.0,)),
+    (counting_bound, (3, None)),
 ]
 
 
@@ -404,6 +405,18 @@ MALFORMED_MASK_CALLS = [
     pytest.param(lambda: apply_permutation((2, 1), 4), id="permute-short"),
     pytest.param(lambda: apply_permutation((0, 1), 1), id="permute-label-0"),
     pytest.param(lambda: apply_permutation((1.0, 2), 1), id="permute-label-float"),
+    pytest.param(lambda: apply_permutation({"n": 3}, 3), id="permute-mapping"),
+    pytest.param(lambda: MatchingGraph(3).full_edge_count(None), id="full-edges-none"),
+    pytest.param(lambda: MatchingGraph(3).full_edge_count(2.0), id="full-edges-float"),
+    pytest.param(lambda: MatchingGraph(3).full_edge_count("x"), id="full-edges-str"),
+    pytest.param(lambda: MatchingGraph(3).full_edge_count([1]), id="full-edges-list"),
+    pytest.param(lambda: MatchingGraph(3).full_edge_count(-1), id="full-edges-negative"),
+    pytest.param(lambda: MatchingGraph(3).is_independent(-1), id="independent-negative"),
+    pytest.param(lambda: MatchingGraph(3).covers_all_edges(None), id="covers-none"),
+    pytest.param(lambda: MatchingGraph(3).covers_all_edges(2.0), id="covers-float"),
+    pytest.param(lambda: MatchingGraph(3).covers_all_edges("x"), id="covers-str"),
+    pytest.param(lambda: MatchingGraph(3).covers_all_edges([1]), id="covers-list"),
+    pytest.param(lambda: MatchingGraph(3).covers_all_edges(-1), id="covers-negative"),
     pytest.param(lambda: max_kwise_family(SearchProblem(UniformFamily(6, 0, (0,)), 3)),
                  id="search-r-0"),
     pytest.param(lambda: complete_uniform_family(4, 5), id="complete-r-beyond-m"),
