@@ -104,8 +104,18 @@ class IntervalFamily:
     def starts_through(self, position: int) -> tuple[int, ...]:
         """Starts of all arcs of this length containing ``position``."""
         require_int("position", position)
-        return tuple(sorted(wrap(position - j, self.size)
-                            for j in range(self.length)))
+        return _starts_through(self.size, self.length, position)
+
+
+def _starts_through(size: int, length: int, position: int) -> tuple[int, ...]:
+    """Ascending starts of the arcs of ``length`` on ``size`` positions
+    that contain ``position``: x-r+1..x after wrapping x, split in two
+    where that stretch passes position 1."""
+    x = wrap(position, size)
+    lo = x - length + 1
+    if lo >= 1:
+        return tuple(range(lo, x + 1))
+    return (*range(1, x + 1), *range(lo + size, size + 1))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ human-oriented only.  Exit codes: 0 success, 1 verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -41,6 +42,34 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for the payloads the commands emit.
+
+    Dicts with str keys, lists and tuples are laid out as the indented
+    dump lays them out.  A plain int (``type(x) is int``; bools fall
+    through) is written by ``str`` and a list of them joined in one step,
+    which the pure-Python encoder behind ``indent`` cannot do; any other
+    value is dumped by ``json.dumps``.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return ("{\n" + inner + (",\n" + inner).join(
+            json.dumps(key) + ": " + _json(item, inner)
+            for key, item in value.items()) + "\n" + indent + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = (map(str, value) if set(map(type, value)) == {int} else
+                 (_json(item, inner) for item in value))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value)
+
+
 def _csv_escape(value) -> str:
     if value is None:
         return ""
@@ -70,7 +99,7 @@ def _render(args, obj: dict, text: str, columns: list[str] | None = None,
     scalars joined by spaces.
     """
     if args.format == "json":
-        return json.dumps(obj, indent=2)
+        return _json(obj)
     if args.format == "text":
         return text
     if "rows" in obj:
@@ -116,7 +145,7 @@ def _cmd_bounds(args) -> tuple[str, bool]:
 def _cmd_enumerate(args) -> tuple[str, bool]:
     fam = enumerate_family(args.n, args.r, args.kind)
     if args.format == "json":
-        payload = json.dumps(fam.to_json_obj(), indent=2)
+        payload = _json(fam.to_json_obj())
     else:
         # text and csv coincide: one set per line, comma-separated labels
         payload = fam.to_text()
@@ -266,6 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses in this process.
+
+    Each subcommand's ``func`` is bound when the parser is first built;
+    a fresh tree comes from :func:`build_parser`.
+    """
+    return build_parser()
+
+
 def _emit(payload: str, out) -> None:
     if payload and not payload.endswith("\n"):
         payload += "\n"
@@ -273,8 +312,7 @@ def _emit(payload: str, out) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if not args.output:
         return _run(args, sys.stdout)
     try:
@@ -300,9 +338,8 @@ def _emit_error(args, exc: MatchwiseError, out) -> int:
     """Report a package error; return its exit code."""
     kind, code = _ERRORS[type(exc)]
     if args.format == "json":
-        diagnostic = json.dumps({"schema_version": SCHEMA_VERSION,
-                                 "error": {"type": kind, "message": str(exc)}},
-                                indent=2)
+        diagnostic = _json({"schema_version": SCHEMA_VERSION,
+                            "error": {"type": kind, "message": str(exc)}})
         _emit(diagnostic + "\n", out)
     print(f"matchwise: {kind} error: {exc}", file=sys.stderr)
     return code

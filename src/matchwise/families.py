@@ -61,12 +61,10 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into ascending vertex labels."""
     require_mask(mask)
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length())  # bit v-1 is vertex v
     return tuple(out)
 
 

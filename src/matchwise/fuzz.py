@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arcs import IntervalFamily, assign_indices, common_index
+from .arcs import IntervalFamily, _starts_through, assign_indices, common_index
 from .errors import IntegrityError, ParameterError, require_int
 from .families import UniformFamily, is_k_wise_intersecting
 from .schema import SCHEMA_VERSION
@@ -64,8 +64,11 @@ class FuzzSummary:
 
 
 def _materialize(fam: IntervalFamily) -> UniformFamily:
-    return UniformFamily.from_masks(fam.size, fam.length,
-                                    (fam.mask(s) for s in fam.starts))
+    # the r-bit block rotated to each start, as IntervalFamily.mask builds it
+    n, r = fam.size, fam.length
+    block, full = (1 << r) - 1, (1 << n) - 1
+    return UniformFamily.from_masks(
+        n, r, ((block << s - 1 | block >> n - s + 1) & full for s in fam.starts))
 
 
 def _instance(trial: int, fam: IntervalFamily, k: int, note: str) -> dict:
@@ -93,9 +96,8 @@ def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
         size = rng.randint(3, 24)
         r_max = ((k - 1) * size) // k
         length = rng.randint(1, r_max)
-        probe = IntervalFamily(size, length, ())
         if rng.random() < 0.5:
-            through = probe.starts_through(rng.randint(1, size))
+            through = _starts_through(size, length, rng.randint(1, size))
             m = rng.randint(1, min(length, 8))
             starts = rng.sample(through, m)
         else:
@@ -151,9 +153,8 @@ def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
         size = rng.randint(4, 24)
         r_max = ((k - 1) * size - 1) // k
         length = rng.randint(1, r_max)
-        probe = IntervalFamily(size, length, ())
         x = rng.randint(1, size)
-        star_starts = probe.starts_through(x)
+        star_starts = _starts_through(size, length, x)
         fam = IntervalFamily.from_starts(size, length, star_starts)
         conforming += 1
         try:
@@ -170,8 +171,8 @@ def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
         # perturb: swap one arc for an outside one; must be rejected
         # unless the result is again the full family through some point
         out = rng.choice(star_starts)
-        extra = rng.choice([s for s in range(1, size + 1)
-                            if s not in star_starts])
+        inside = set(star_starts)
+        extra = rng.choice([s for s in range(1, size + 1) if s not in inside])
         perturbed = IntervalFamily.from_starts(
             size, length, [s for s in star_starts if s != out] + [extra])
         nonconforming += 1
@@ -183,7 +184,7 @@ def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
         except Exception as exc:
             violations.append(_instance(trial, perturbed, k, f"raised {exc!r}"))
             continue
-        if set(perturbed.starts) != set(probe.starts_through(p)):
+        if perturbed.starts != _starts_through(size, length, p):
             violations.append(_instance(
                 trial, perturbed, k,
                 f"accepted a family that is not the full family through {p}"))

@@ -338,8 +338,11 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
             if not cand:
                 break
             cand &= meets[x]
-        saved = None  # narrow the conflict rows by new (k-2)-wise ones
-        if 0 < km2 <= bind and added[km2] and cand:
+        # narrow the conflict rows by new (k-2)-wise ones, unless the
+        # child's size test prunes before it reads a row
+        saved = None
+        if (0 < km2 <= bind and added[km2] and cand
+                and depth + 1 + cand.bit_count() >= max(best, depth + 1) + (not collect)):
             saved = comp[:]
             rest = cand
             while rest:

@@ -256,3 +256,11 @@ def move_lemma_sweep(n: int, r: int, k: int, union_test: bool = True
                         not union_test or kwise_ok(list(through_2n | through_v), k)):
                     survivors += 1
     return cases, survivors
+
+
+# -- arcs on a circle from the definition ------------------------------------
+
+def arc_starts_through(size: int, length: int, position: int) -> tuple[int, ...]:
+    """Starts of the length-r arcs on positions 1..size containing
+    ``position``: position - j for j < r, each wrapped, sorted."""
+    return tuple(sorted((position - j - 1) % size + 1 for j in range(length)))

@@ -9,7 +9,8 @@ from matchwise import (IntegrityError, IntervalFamily, ParameterError,
                        UniformFamily, assign_indices, common_index,
                        is_k_wise_intersecting)
 
-from oracles import kwise_ok
+from matchwise.arcs import _starts_through
+from oracles import arc_starts_through, kwise_ok
 
 
 def arcs_as_family(fam: IntervalFamily) -> UniformFamily:
@@ -74,6 +75,14 @@ def test_rejects_malformed_fields(args):
 def test_position_methods_reject_malformed_positions(method, position):
     with pytest.raises(ParameterError, match="must be an int"):
         getattr(IntervalFamily(5, 2, (1,)), method)(position)
+
+
+def test_starts_through_matches_the_definition():
+    for size in range(2, 25):
+        for r in range(1, size):
+            for position in range(-size, 2 * size + 1):
+                assert (_starts_through(size, r, position)
+                        == arc_starts_through(size, r, position)), (size, r, position)
 
 
 @pytest.mark.parametrize("starts", [["a"], [1.0], [True, 3],

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from matchwise import cli
 from matchwise.cli import main
@@ -401,3 +402,86 @@ def test_module_entry_point():
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["connected"] is True
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the per-process parser
+# ---------------------------------------------------------------------------
+
+_json_scalars = (st.integers(-10**20, 10**20) | st.booleans() | st.none()
+                 | st.floats(allow_nan=False) | st.text())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(_json_values)
+def test_json_writer_matches_the_indented_dump(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [], (), {}, [[]], {"a": {}}, [True, 1, False], [1, None], (1, 2),
+    [1.5, 2], {"": 'say "hi"\nthere', "ключ": "naïve ☃"}, [[1, 2], [3]]])
+def test_json_writer_edge_cases(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+# every --format json call above that prints JSON: payloads, then diagnostics
+JSON_CALLS = (
+    [argv for argv, _ in CSV_CONTRACT] + VALID + list(_circle_grid()) + [
+        ["bounds", "--n", "1:4"], ["bounds", "--n", "9", "--r", "10"],
+        ["enumerate", "--n", "3", "--r", "3"],
+        ["verify", "--n", "3", "--r", "3", "--k", "3", "--all-maximum", "--check-stars"],
+        ["verify", "--n", "3", "--r", "4", "--k", "3", "--all-maximum"],
+        ["verify", "--n", "3", "--r", "4", "--k", "3"],
+        ["verify", "--n", "3", "--r", "4", "--all-maximum", "--k", str(10**12)],
+        ["circle", "--n", "4", "--action", "moves"],
+        ["fuzz", "--target", "assignment", "--trials", "200", "--seed", "7"],
+        ["fuzz", "--target", "2", "--trials", "50"],
+    ] + [argv for argv, _, _ in MALFORMED])
+
+
+def test_json_outputs_keep_the_indented_layout(tmp_path, capsys):
+    # the last call's --output is a directory: its diagnostic goes to stdout
+    for argv in [*JSON_CALLS, [*VALID[0], "--output", str(tmp_path)]]:
+        _, out = run_cli(capsys, *argv, "--format", "json")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+    cli._parser.cache_clear()
+    for argv in [*VALID, *VALID]:
+        run_cli(capsys, *argv)
+    assert len(calls) == 1
+    assert real() is not real()  # build_parser still gives a fresh tree
+
+
+def test_main_is_reentrant_after_errors(tmp_path, capsys):
+    argv = ["circle", "--n", "4", "--r", "5", "--k", "3", "--action", "saturate",
+            "--format", "json"]
+    target = tmp_path / "out.json"
+
+    def outputs():
+        code, out = run_cli(capsys, *argv)
+        file_code, file_out = run_cli(capsys, *argv, "--output", str(target))
+        assert file_out == ""
+        return code, out, file_code, target.read_text()
+
+    cli._parser.cache_clear()
+    first = outputs()
+    assert first[0] == 0 and first[1] == first[3]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "a", "--r", "3", "--k", "3", "--format", "json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert outputs() == first
+    assert run_cli(capsys, "verify", "--n", "5", "--r", "5", "--k", "3",
+                   "--format", "json", "--output", str(target))[0] == 3
+    assert outputs() == first

@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 import matchwise.fuzz
-from matchwise import ParameterError, fuzz_assignment, fuzz_common_index, run_fuzz
+from matchwise import (IntervalFamily, ParameterError, UniformFamily, fuzz_assignment,
+                       fuzz_common_index, run_fuzz)
 
 
 def test_assignment_fuzz_finds_no_violations():
@@ -13,6 +14,14 @@ def test_assignment_fuzz_finds_no_violations():
     assert summary.conforming + summary.nonconforming == 2000
     assert summary.conforming > 500
     assert summary.bounded + summary.covering == 2000
+
+
+def test_materialized_arcs_are_their_masks():
+    for size in range(2, 25):
+        for r in range(1, size):
+            fam = IntervalFamily(size, r, tuple(range(1, size + 1)))
+            assert matchwise.fuzz._materialize(fam) == UniformFamily.from_masks(
+                size, r, (fam.mask(s) for s in fam.starts))
 
 
 def _outside_rotation(fam, members):
