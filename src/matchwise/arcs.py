@@ -97,10 +97,6 @@ class IntervalFamily:
         m = ((1 << self.length) - 1) << (start - 1) % n
         return (m | m >> n) & ((1 << n) - 1)
 
-    def end(self, start: int) -> int:
-        require_int("start", start)
-        return wrap(start + self.length - 1, self.size)
-
     def starts_through(self, position: int) -> tuple[int, ...]:
         """Starts of all arcs of this length containing ``position``."""
         require_int("position", position)

@@ -171,7 +171,13 @@ def _cmd_verify(args) -> tuple[str, bool]:
 
 
 def _cmd_circle(args) -> tuple[str, bool]:
-    n = args.n
+    n, r = args.n, args.r
+    # an action given a flag it does not read is malformed input
+    if args.k is not None and args.action != "saturate":
+        raise ParameterError(f"{args.action} takes no --k")
+    takes_r = args.action in ("saturate", "construct")
+    if (r is None) == takes_r:
+        raise ParameterError(f"{args.action} {'needs' if takes_r else 'takes no'} --r")
     if args.action == "count":
         enumerated = enumerated_order_count(n)
         expected = good_order_count(n)
@@ -186,9 +192,6 @@ def _cmd_circle(args) -> tuple[str, bool]:
         text = (f"moves orbit for n={n}: {rep.orbit_size}/{rep.expected} "
                 f"({'connected' if rep.connected else 'NOT connected'})\n")
     elif args.action == "saturate":
-        if args.r is None:
-            raise ParameterError("saturate needs --r")
-        r = args.r
         k = args.k if args.k is not None else 2 * n + 1
         star = matching_universe(n, r).star(2 * n)
         statuses = saturation_sweep(n, star, k)
@@ -199,10 +202,7 @@ def _cmd_circle(args) -> tuple[str, bool]:
                "ok": saturated == total}
         text = (f"star at vertex {2 * n} saturates {saturated}/{total} "
                 f"orders (n={n}, r={r}, k={k})\n")
-    elif args.action == "construct":
-        if args.r is None:
-            raise ParameterError("construct needs --r")
-        r = args.r
+    else:  # construct; argparse admits no other action
         star = matching_universe(n, r).star(2 * n)
         verified = 0
         for member in star.sets:
@@ -214,8 +214,6 @@ def _cmd_circle(args) -> tuple[str, bool]:
                "ok": verified == len(star)}
         text = (f"constructed containing orders for {verified}/{len(star)} "
                 f"members of the star at vertex {2 * n} (n={n}, r={r})\n")
-    else:
-        raise ParameterError(f"unknown circle action {args.action!r}")
 
     return _render(args, {"schema_version": SCHEMA_VERSION, **obj}, text), obj["ok"]
 

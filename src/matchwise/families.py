@@ -19,7 +19,6 @@ Three r-uniform families matter here:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -84,10 +83,6 @@ class MatchingGraph:
     @property
     def vertex_count(self) -> int:
         return 2 * self.n
-
-    @property
-    def independence_number(self) -> int:
-        return self.n
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, i + self.n) for i in range(1, self.n + 1))
@@ -212,23 +207,6 @@ class UniformFamily:
         return "\n".join(",".join(str(v) for v in vertices_of(s))
                          for s in self.sets) + ("\n" if self.sets else "")
 
-    @classmethod
-    def from_text(cls, universe_size: int, r: int, text: str) -> "UniformFamily":
-        if not isinstance(text, str):
-            raise ParameterError(f"family text must be a str, got {text!r}")
-        masks = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels = [int(tok) for tok in line.split(",")]
-            except ValueError:
-                raise ParameterError(
-                    f"expected comma-separated vertex labels, got {line!r}") from None
-            masks.append(mask_of(labels))
-        return cls.from_masks(universe_size, r, masks)
-
     def to_json_obj(self) -> dict:
         """JSON form {"n":…, "r":…, "sets":[[…],…]} for M_n families."""
         if self.universe_size % 2:
@@ -236,30 +214,6 @@ class UniformFamily:
                 "JSON form encodes the edge count n and needs an even universe")
         return {"n": self.universe_size // 2, "r": self.r,
                 "sets": [list(vertices_of(s)) for s in self.sets]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "UniformFamily":
-        try:
-            n, r = obj["n"], obj["r"]
-            if type(n) is not int or type(r) is not int:
-                raise TypeError
-            MatchingGraph(n)  # names the n given, not the 2n it implies
-            return cls.from_vertex_sets(2 * n, r, obj["sets"])
-        except (KeyError, TypeError):
-            raise ParameterError(
-                'expected {"n": int, "r": int, "sets": [[int, ...], ...]}'
-            ) from None
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, text: str) -> "UniformFamily":
-        try:
-            obj = json.loads(text)
-        except (TypeError, ValueError):  # not text, or not JSON
-            raise ParameterError("family JSON does not parse") from None
-        return cls.from_json_obj(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from itertools import permutations
 
-from .arcs import IntervalFamily, common_index, wrap
+from .arcs import IntervalFamily, common_index
 from .errors import (CapacityError, IntegrityError, MatchwiseError, ParameterError,
                      require_arity, require_int, require_mask, require_type)
 from .families import MatchingGraph, UniformFamily, _orbit, is_k_wise_intersecting
@@ -53,29 +53,8 @@ class GoodCyclicOrder:
     def size(self) -> int:
         return 2 * self.n
 
-    def vertex_at(self, position: int) -> int:
-        """The vertex at ``position``; every int position wraps."""
-        if type(position) is not int:  # a bool is an int subclass
-            raise ParameterError(f"positions are ints, got {position!r}")
-        return self.seq[wrap(position, self.size) - 1]
-
-    def position_of(self, vertex: int) -> int:
-        if type(vertex) is not int or not 1 <= vertex <= self.size:
-            raise ParameterError(
-                f"vertex {vertex!r} is not an int label in 1..{self.size}")
-        return self.seq.index(vertex) + 1
-
     def serialize(self) -> str:
         return ",".join(str(v) for v in self.seq)
-
-    @classmethod
-    def deserialize(cls, n: int, text: str) -> "GoodCyclicOrder":
-        try:
-            seq = tuple(int(tok) for tok in text.split(","))
-        except (AttributeError, TypeError, ValueError):  # not text, or not int labels
-            raise ParameterError(
-                f"expected comma-separated vertex labels, got {text!r}") from None
-        return cls(n, seq)
 
 
 @functools.cache

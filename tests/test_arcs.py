@@ -29,7 +29,6 @@ def arcs_as_sets(fam: IntervalFamily) -> list[frozenset[int]]:
 def test_positions_and_wraparound():
     fam = IntervalFamily(6, 4, ())
     assert fam.positions(5) == (5, 6, 1, 2)
-    assert fam.end(5) == 2
     assert fam.mask(5) == 0b110011
     assert fam.starts_through(1) == (1, 4, 5, 6)
 
@@ -70,7 +69,7 @@ def test_rejects_malformed_fields(args):
         IntervalFamily(*args)
 
 
-@pytest.mark.parametrize("method", ["positions", "mask", "end", "starts_through"])
+@pytest.mark.parametrize("method", ["positions", "mask", "starts_through"])
 @pytest.mark.parametrize("position", [None, 1.0, True, "1"])
 def test_position_methods_reject_malformed_positions(method, position):
     with pytest.raises(ParameterError, match="must be an int"):

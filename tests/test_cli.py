@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from matchwise import cli
+from matchwise import UniformFamily, cli, enumerate_family
 from matchwise.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +57,20 @@ def test_enumerate_text_and_json(capsys):
                         "--format", "json")
     obj = json.loads(out)
     assert obj["n"] == 3 and obj["r"] == 3 and len(obj["sets"]) == 8
+    # both forms read back bit-exactly through the set-list constructor
+    for n in range(1, 5):
+        for r in range(1, 2 * n + 1):
+            for kind in ("independent", "max_containing", "union"):
+                fam = enumerate_family(n, r, kind)
+                argv = ["enumerate", "--n", str(n), "--r", str(r), "--kind", kind]
+                code, out = run_cli(capsys, *argv)
+                assert code == 0
+                sets = [[int(v) for v in line.split(",")] for line in out.splitlines()]
+                assert UniformFamily.from_vertex_sets(2 * n, r, sets) == fam
+                code, out = run_cli(capsys, *argv, "--format", "json")
+                obj = json.loads(out)
+                assert code == 0 and (obj["n"], obj["r"]) == (n, r)
+                assert UniformFamily.from_vertex_sets(2 * n, r, obj["sets"]) == fam
 
 
 def test_verify_success(capsys):
@@ -257,6 +271,13 @@ MALFORMED = [
     (["bounds", "--n", "3", "--r", "0"], 2, "parameter"),
     (["circle", "--n", "4", "--action", "saturate", "--r", "5", "--k", "1"],
      2, "parameter"),
+    # only saturate reads --k, and only saturate and construct read --r
+    (["circle", "--n", "3", "--action", "count", "--k", "1"], 2, "parameter"),
+    (["circle", "--n", "3", "--action", "moves", "--k", "3"], 2, "parameter"),
+    (["circle", "--n", "3", "--r", "3", "--action", "construct", "--k", "3"],
+     2, "parameter"),
+    (["circle", "--n", "3", "--action", "count", "--r", "3"], 2, "parameter"),
+    (["circle", "--n", "3", "--action", "moves", "--r", "99"], 2, "parameter"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known
