@@ -5,8 +5,9 @@ pair of partners sits exactly n positions apart.  Rotation classes are
 represented uniquely by pinning vertex 2n to position 2n, which forces
 vertex n to position n; there are 2^(n-1) * (n-1)! such normalized
 orders, each fixed by its positions 1..n-1.  One enumerator lays them
-out as byte rows, each checked by the rule the order type applies; the
-count, ``saturation_sweep`` and the order objects read those rows as
+out in blocks, one per edge permutation, each block of byte rows checked
+at once by the rule the order type applies; the count sums the block
+lengths, ``saturation_sweep`` and the order objects read the rows as
 they are made, and nothing keeps them.  The moves act on seqs as
 position maps, whose orbit from the identity ``families._orbit`` walks,
 as the symmetry search does.  Every length-r window of a good order
@@ -117,28 +118,77 @@ def _require_enumerable(n: int) -> None:
         raise CapacityError(f"enumeration is supported for n <= 8, got n={n}")
 
 
-def _order_rows(n: int):
-    """Yield the seq of every normalized good order once, as ``bytes``.
+def _order_blocks(n: int):
+    """Yield the normalized good orders as checked blocks, one per
+    permutation of the edges 1..n-1: a pair ``(h1, h2)`` of byte strings
+    holding, in the same order, the first halves and the second halves of
+    the block's 2^(n-1) rows, n bytes per row.
 
-    Positions 1..n-1 take one endpoint from each of the edges 1..n-1 (a
+    Positions 1..n-1 take one endpoint from each of the edges 1..n-1 (the
     permutation choosing the slot, one bit per slot choosing the
     endpoint), position n takes vertex n, and the second half is forced
-    by the partner constraint.  The first half is built as one integer,
-    a byte per position: the permutation's bytes plus, for each set bit,
-    n in that slot's byte.  Each row is checked by :func:`_check_row`;
-    one that breaks the rule raises IntegrityError.
+    by the partner constraint.  One code string, built once per call,
+    lists for each bit pattern each slot's index, plus n where the slot's
+    bit is set; translating it through the permutation's table gives
+    every first half at once, and translating those through the partner
+    table every second half.  Each block is checked by
+    :func:`_check_block`.
     """
     _require_enumerable(n)
     partner = _layout(n)[2]
-    offsets = [sum(n << 8 * slot for slot in range(n - 1) if bits >> slot & 1)
-               for bits in range(1 << (n - 1))]
+    codes = bytes(slot + (n if bits >> slot & 1 else 0)
+                  for bits in range(1 << (n - 1)) for slot in range(n))
     for perm in permutations(range(1, n)):
-        base = int.from_bytes(bytes((*perm, n)), "little")
-        for offset in offsets:
-            half = (base + offset).to_bytes(n, "little")
-            row = half + half.translate(partner)
-            _check_row(n, row, IntegrityError)
-            yield row
+        table = bytes((*perm, n, *(e + n for e in perm))).ljust(256, b"\0")
+        h1 = codes.translate(table)
+        h2 = h1.translate(partner)
+        _check_block(n, h1, h2)
+        yield h1, h2
+
+
+@functools.cache
+def _sides(n: int) -> tuple[bytes, bytes]:
+    """Two byte translation tables telling M_n's low labels 1..n from its
+    high ones n+1..2n: ``low[v]`` is 1 for a low label and 2 for a high
+    one, ``high[v]`` the other way round, both 0 for any other byte."""
+    low = bytes((0, *[1] * n, *[2] * n)).ljust(256, b"\0")
+    high = bytes((0, *[2] * n, *[1] * n)).ljust(256, b"\0")
+    return low, high
+
+
+def _check_block(n: int, h1: bytes, h2: bytes) -> None:
+    """:func:`_check_row`'s rule, applied to a block of rows at once.
+
+    The block passes when the two halves have the same edge at every
+    position, that edge string repeats its first n bytes, those are the
+    edges 1..n, the halves hold opposite sides (low against high) at
+    every position, and every row's second half ends in vertex 2n.  The
+    edge and side tables are read, never the partner table that builds
+    the rows.  A block that fails is re-checked row by row, so the first
+    bad row raises the IntegrityError it raises alone; rows that all
+    pass but differ in their edges raise a block-level IntegrityError.
+    """
+    size, _, _, edge = _layout(n)
+    low, high = _sides(n)
+    edges = h1.translate(edge)
+    if (edges == h2.translate(edge)
+            and edges == edges[:n] * (len(edges) // n)
+            and set(edges[:n]) == set(range(1, n + 1))
+            and h1.translate(low) == h2.translate(high)
+            and h2[n - 1::n] == bytes((size,)) * (len(h2) // n)):
+        return
+    for p in range(0, len(h1), n):
+        _check_row(n, h1[p:p + n] + h2[p:p + n], IntegrityError)
+    raise IntegrityError("the rows of one block must have the same edge at each position")
+
+
+def _order_rows(n: int):
+    """Yield the seq of every normalized good order once, as ``bytes``:
+    the rows of the checked blocks of :func:`_order_blocks`, one block per
+    edge permutation, each row the slices of the block's two halves."""
+    for h1, h2 in _order_blocks(n):
+        for p in range(0, len(h1), n):
+            yield h1[p:p + n] + h2[p:p + n]
 
 
 def enumerate_good_orders(n: int):
@@ -150,9 +200,11 @@ def enumerate_good_orders(n: int):
 
 
 def enumerated_order_count(n: int) -> int:
-    """How many normalized good orders the enumerator yields, each checked
-    as a row and none built as a ``GoodCyclicOrder``."""
-    return sum(1 for _ in _order_rows(n))
+    """How many normalized good orders the enumerator yields: the summed
+    lengths of the checked blocks of :func:`_order_blocks`, one per edge
+    permutation, with no row sliced out and none built as a
+    ``GoodCyclicOrder``."""
+    return sum(len(h1) for h1, _ in _order_blocks(n)) // n
 
 
 # ---------------------------------------------------------------------------

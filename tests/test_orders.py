@@ -1,5 +1,6 @@
 import json
 import operator
+import random
 import tracemalloc
 
 import pytest
@@ -409,6 +410,74 @@ def test_order_table_holds_the_enumerated_orders(n):
     assert enumerated_order_count(n) == len(expected)
 
 
+def test_enumeration_reaches_the_cap():
+    assert enumerated_order_count(8) == good_order_count(8) == 645120
+
+
+def _slot_edit(rng, n, partner):
+    """One edit of a first half (a bytearray of n labels): a slot set to
+    any byte from 0 to 2n+1, two slots swapped, or a slot's vertex
+    replaced by its partner."""
+    kind, s, t = rng.randrange(3), rng.randrange(n), rng.randrange(n)
+    value = rng.randrange(2 * n + 2)
+
+    def edit(half):
+        if kind == 0:
+            half[s] = value
+        elif kind == 1:
+            half[s], half[t] = half[t], half[s]
+        else:
+            half[s] = partner[half[s]]
+    return edit
+
+
+def _row_rule(n, h1, h2):
+    """What the block check must answer, read row by row: the first bad
+    row's message, a block-level failure when the rows' first-half edge
+    strings differ, else None."""
+    edge = orders._layout(n)[3]
+    rows = [h1[p:p + n] + h2[p:p + n] for p in range(0, len(h1), n)]
+    for row in rows:
+        outcome = _outcome(lambda: orders._check_row(n, row, IntegrityError))
+        if outcome is not None:
+            return outcome
+    if len({row[:n].translate(edge) for row in rows}) > 1:
+        return IntegrityError, "block"
+    return None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_block_check_agrees_with_the_row_check(n):
+    # seeded mutations of valid blocks: one byte of either half, one row's
+    # first half with its second half rebuilt, or one slot edit to every row
+    rng = random.Random(n)
+    partner = orders._layout(n)[2]
+    blocks = list(orders._order_blocks(n))
+    raised = 0
+    for trial in range(450):
+        h1, h2 = map(bytearray, rng.choice(blocks))
+        rows = range(0, len(h1), n)
+        if trial % 3 == 0:
+            half = rng.choice((h1, h2))
+            half[rng.randrange(len(half))] = rng.randrange(2 * n + 2)
+        else:
+            edit = _slot_edit(rng, n, partner)
+            for p in ([rng.choice(rows)] if trial % 3 == 1 else rows):
+                first = h1[p:p + n]
+                edit(first)
+                h1[p:p + n] = first
+            h2 = h1.translate(partner)
+        h1, h2 = bytes(h1), bytes(h2)
+        expected = _row_rule(n, h1, h2)
+        got = _outcome(lambda: orders._check_block(n, h1, h2))
+        if expected == (IntegrityError, "block"):
+            assert got[0] is IntegrityError and "same edge" in got[1]
+        else:
+            assert got == expected
+        raised += got is not None
+    assert 0 < raised < 450
+
+
 def test_order_table_build_peaks_below_three_tables():
     # the sweep keeps no table of the orders: it peaks below three byte
     # tables of them, and its statuses, all one outcome, are one object
@@ -448,6 +517,24 @@ def test_rows_are_checked_against_a_wrong_partner_table(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "integrity"
     assert main(["circle", "--n", "4", "--r", "5", "--k", "3", "--action", "saturate",
                  "--format", "json"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "integrity"
+
+
+def test_rows_are_checked_against_a_partner_table_fixing_a_vertex(monkeypatch, capsys):
+    # the partner table the rows are built from, with vertex 1 its own
+    # partner: every row keeps its edges, but holds vertex 1 twice
+    layout = orders._layout
+
+    def fixed(n):
+        size, labels, partner, edge = layout(n)
+        bad = bytearray(partner)
+        bad[1] = 1
+        return size, labels, bytes(bad), edge
+
+    monkeypatch.setattr(orders, "_layout", fixed)
+    with pytest.raises(IntegrityError, match="permuting the int labels"):
+        list(orders._order_rows(4))
+    assert main(["circle", "--n", "4", "--action", "count", "--format", "json"]) == 4
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "integrity"
 
 
