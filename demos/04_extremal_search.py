@@ -42,7 +42,9 @@ report = verify_extremal_characterization(3, 4, 3)
 print(f"(n=3, r=4, k=3): max {report.max_size}, witnesses "
       f"{report.witness_count}, all stars: {report.all_are_stars} "
       f"(uniqueness not asserted at the boundary)")
-print(json.dumps(report.to_json_obj(include_witnesses=False), indent=2))
+obj = report.to_json_obj()
+del obj["witnesses"]
+print(json.dumps(obj, indent=2))
 
 # A classical negative control: pairwise-intersecting 2-subsets of
 # [4].  The bound C(3,1) = 3 is attained by stars and triangles alike.

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IntegrityError, ParameterError, require_arity, require_int, require_type
+from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
+                     require_int, require_type)
 
 
 def wrap(p: int, size: int) -> int:
@@ -58,6 +59,8 @@ class IntervalFamily:
         # bool is an int subclass, and a float would leak into every report
         if type(self.size) is not int or self.size < 2:
             raise ParameterError(f"circle needs an int N >= 2 positions, got {self.size!r}")
+        if self.size > 64:  # the width of every vertex set
+            raise CapacityError(f"circle supports N <= 64 positions, got N={self.size}")
         if type(self.length) is not int or not 1 <= self.length < self.size:
             raise ParameterError(
                 f"arc length must be an int 1 <= r < N, got r={self.length!r}, N={self.size}")

@@ -2,16 +2,16 @@
 
 Subcommands: bounds, enumerate, verify, circle, fuzz.  The json and
 csv output formats are contract (field names and columns are frozen in
-SCHEMA.md and stamped with a schema_version); text output is
-human-oriented only.  Exit codes: 0 success, 1 verification failed,
-2 parameter error, 3 capacity error, 4 integrity error.
+SCHEMA.md and stamped with a schema_version); text output is laid out
+from the same payload and is human-oriented only.  Exit codes:
+0 success, 1 verification failed, 2 parameter error, 3 capacity error,
+4 integrity error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 
@@ -81,32 +81,31 @@ def _csv_escape(value) -> str:
     return text
 
 
-def _csv(rows: list[dict], columns: list[str]) -> str:
-    out = io.StringIO()
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(_csv_escape(row.get(c)) for c in columns) + "\n")
-    return out.getvalue()
+def _csv(rows: list[dict], columns: list[str], sep: str = ",") -> str:
+    lines = [columns] + [[_csv_escape(row.get(c)) for c in columns] for row in rows]
+    return "".join(sep.join(cells) + "\n" for cells in lines)
 
 
-def _render(args, obj: dict, text: str, columns: list[str] | None = None,
+def _render(args, obj: dict, columns: list[str] | None = None,
             skip: tuple[str, ...] = ()) -> str:
     """The payload in the requested format.
 
-    CSV is derived from the JSON object: its ``rows`` under ``columns``
-    when it has them (an empty ``rows`` still prints the header),
-    otherwise one row of its fields minus ``skip``, with lists of
-    scalars joined by spaces.
+    CSV and text are derived from the JSON object: its ``rows`` under
+    ``columns`` when it has them (an empty ``rows`` still prints the
+    header), otherwise one row of its fields minus ``skip``, with lists
+    of scalars joined by spaces.  Text prints the rows as a table with
+    two spaces between cells, and the one row as a ``key: value`` line
+    per field; every cell is spelled as in CSV.
     """
     if args.format == "json":
         return _json(obj)
-    if args.format == "text":
-        return text
     if "rows" in obj:
-        return _csv(obj["rows"], columns)
+        return _csv(obj["rows"], columns, "," if args.format == "csv" else "  ")
     row = {key: " ".join(map(str, value)) if isinstance(value, list) else value
            for key, value in obj.items() if key not in skip}
-    return _csv([row], list(row))
+    if args.format == "csv":
+        return _csv([row], list(row))
+    return "".join(f"{key}: {_csv_escape(value)}\n" for key, value in row.items())
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +134,8 @@ def _cmd_bounds(args) -> tuple[str, bool]:
                          "bound": bound.value, "star_size": star_size,
                          "match": match})
     columns = ["n", "r", "branch", "bound", "star_size", "match"]
-    lines = ["  ".join(f"{row[c]}" for c in columns) for row in rows]
-    text = "\n".join(["  ".join(columns)] + lines) + "\n"
     obj = {"schema_version": SCHEMA_VERSION, "rows": rows}
-    return (_render(args, obj, text, columns),
+    return (_render(args, obj, columns),
             all(row["match"] is not False for row in rows))
 
 
@@ -157,16 +154,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
     if args.check_stars and not args.all_maximum:
         raise ParameterError("--check-stars requires --all-maximum")
     report = verify_extremal_characterization(args.n, args.r, args.k, mode=mode)
-    obj = report.to_json_obj(include_witnesses=args.all_maximum)
-    text = (f"n={report.n} r={report.r} k={report.k}: max {report.max_size} "
-            f"(expected {report.bound_expected}, "
-            f"{'met' if report.bound_met else 'VIOLATED'}); "
-            f"{report.witness_count} maximum families"
-            + (f", all stars: {report.all_are_stars}"
-               if report.uniqueness_asserted
-               else f", uniqueness {report.uniqueness}")
-            + "\n")
-    return (_render(args, obj, text, skip=("witnesses",)),
+    return (_render(args, report.to_json_obj(), skip=("witnesses",)),
             report.ok if args.check_stars else report.bound_met)
 
 
@@ -183,14 +171,11 @@ def _cmd_circle(args) -> tuple[str, bool]:
         expected = good_order_count(n)
         obj = {"action": "count", "n": n, "enumerated": enumerated,
                "expected": expected, "ok": enumerated == expected}
-        text = f"good cyclic orders for n={n}: {enumerated}/{expected}\n"
     elif args.action == "moves":
         rep = connectivity_check(n)
         obj = {"action": "moves", "n": n, "connected": rep.connected,
                "orbit_size": rep.orbit_size, "expected": rep.expected,
                "ok": rep.connected}
-        text = (f"moves orbit for n={n}: {rep.orbit_size}/{rep.expected} "
-                f"({'connected' if rep.connected else 'NOT connected'})\n")
     elif args.action == "saturate":
         k = args.k if args.k is not None else 2 * n + 1
         star = matching_universe(n, r).star(2 * n)
@@ -200,8 +185,6 @@ def _cmd_circle(args) -> tuple[str, bool]:
         obj = {"action": "saturate", "n": n, "r": r, "k": k,
                "orders": total, "saturated": saturated,
                "ok": saturated == total}
-        text = (f"star at vertex {2 * n} saturates {saturated}/{total} "
-                f"orders (n={n}, r={r}, k={k})\n")
     else:  # construct; argparse admits no other action
         star = matching_universe(n, r).star(2 * n)
         verified = 0
@@ -212,10 +195,8 @@ def _cmd_circle(args) -> tuple[str, bool]:
         obj = {"action": "construct", "n": n, "r": r,
                "star_size": len(star), "verified": verified,
                "ok": verified == len(star)}
-        text = (f"constructed containing orders for {verified}/{len(star)} "
-                f"members of the star at vertex {2 * n} (n={n}, r={r})\n")
 
-    return _render(args, {"schema_version": SCHEMA_VERSION, **obj}, text), obj["ok"]
+    return _render(args, {"schema_version": SCHEMA_VERSION, **obj}), obj["ok"]
 
 
 _FUZZ_ALIASES = {"1": "assignment", "2": "common-index"}
@@ -224,11 +205,8 @@ _FUZZ_ALIASES = {"1": "assignment", "2": "common-index"}
 def _cmd_fuzz(args) -> tuple[str, bool]:
     target = _FUZZ_ALIASES.get(args.target, args.target)
     summary = fuzz.run_fuzz(target, args.trials, args.seed)
-    text = (f"fuzz {summary.target}: {summary.trials} trials, "
-            f"{summary.conforming} conforming, "
-            f"{len(summary.violations)} violations\n")
     # violations are report content, not process errors
-    return _render(args, summary.to_json_obj(), text, skip=("violations",)), True
+    return _render(args, summary.to_json_obj(), skip=("violations",)), True
 
 
 # ---------------------------------------------------------------------------

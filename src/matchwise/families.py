@@ -185,9 +185,6 @@ class UniformFamily:
     def __iter__(self) -> Iterator[int]:
         return iter(self.sets)
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.sets
-
     def vertex_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vertices_of(s) for s in self.sets)
 

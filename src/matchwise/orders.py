@@ -92,6 +92,7 @@ def _check_row(n: int, seq, error: type[MatchwiseError]) -> None:
 
 
 def identity_order(n: int) -> GoodCyclicOrder:
+    MatchingGraph(n)  # before the 2n-tuple is built
     return GoodCyclicOrder(n, tuple(range(1, 2 * n + 1)))
 
 

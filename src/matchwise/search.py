@@ -123,20 +123,15 @@ def matching_symmetry(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def matching_symmetry_generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of :func:`matching_symmetry`'s group: a swap of edges 1
-    and 2 and the edge n-cycle e -> e+1, each keeping every endpoint's
-    side, and the flip of edge 1's endpoints.  Identities and repeats,
-    which occur for n <= 2, are left out."""
+    """Generators of :func:`matching_symmetry`'s group: the generators of
+    S_n from :func:`complete_symmetry` acting on the edges, each keeping
+    every endpoint's side, and the flip of edge 1's endpoints.
+    Identities and repeats, which occur for n <= 2, are left out."""
     MatchingGraph(n)
     identity = tuple(range(1, 2 * n + 1))
-
-    def on_edges(f):  # edge e becomes edge f(e)
-        return tuple(f(v) if v <= n else f(v - n) + n for v in identity)
-    m = min(n, 2)
-    swap = on_edges(lambda e: {1: m, m: 1}.get(e, e))
-    cycle = on_edges(lambda e: e % n + 1)
+    lifted = (g + tuple(e + n for e in g) for g in complete_symmetry(n))
     flip = tuple({1: n + 1, n + 1: 1}.get(v, v) for v in identity)
-    return tuple(dict.fromkeys(g for g in (swap, cycle, flip) if g != identity))
+    return tuple(dict.fromkeys(g for g in (*lifted, flip) if g != identity))
 
 
 def complete_symmetry(m: int) -> tuple[tuple[int, ...], ...]:
@@ -468,7 +463,7 @@ class ExtremalReport:
             return "boundary: not asserted"
         return f"{self.mode}: not asserted"
 
-    def to_json_obj(self, include_witnesses: bool = True) -> dict:
+    def to_json_obj(self) -> dict:
         obj = {
             "schema_version": SCHEMA_VERSION,
             "n": self.n,
@@ -486,7 +481,7 @@ class ExtremalReport:
             "explored_nodes": self.explored_nodes,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
         }
-        if include_witnesses and self.mode != "max_size_only":
+        if self.mode != "max_size_only":
             obj["witnesses"] = [w.to_json_obj() for w in self.witnesses]
         return obj
 

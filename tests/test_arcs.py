@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matchwise import (IntegrityError, IntervalFamily, ParameterError,
+from matchwise import (CapacityError, IntegrityError, IntervalFamily, ParameterError,
                        UniformFamily, assign_indices, common_index,
                        is_k_wise_intersecting)
 
@@ -53,6 +53,13 @@ def test_validation():
         IntervalFamily(6, 2, (0,))
     with pytest.raises(ParameterError):
         IntervalFamily(6, 2, (3, 3))
+
+
+def test_circle_size_is_capped_at_the_vertex_set_width():
+    assert IntervalFamily(64, 1, (1, 64)).mask(64) == 1 << 63
+    for size in (65, 10**30):
+        with pytest.raises(CapacityError):
+            IntervalFamily(size, 1, (1,))
 
 
 @pytest.mark.parametrize("args", [

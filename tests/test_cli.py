@@ -101,7 +101,7 @@ def test_verify_max_size_only_uniqueness(capsys, r, boundary):
     assert obj["uniqueness"] == "max_size_only: not asserted"
     code, out = run_cli(capsys, *argv, "--format", "text")
     assert code == 0
-    assert out.endswith(", uniqueness max_size_only: not asserted\n")
+    assert "uniqueness: max_size_only: not asserted\n" in out
 
 
 def test_verify_json_deterministic_modulo_counters(capsys):
@@ -403,6 +403,27 @@ def test_csv_matches_json(capsys, argv, header):
         for column, cell in record.items():
             if column != "elapsed_ms":
                 assert cell == csv_cell(row[column]), column
+
+
+# a bounds table with rows, the n = 9 ones with empty star cells
+@pytest.mark.parametrize("argv, header", CSV_CONTRACT + [
+    (["bounds", "--n", "8:9", "--r", "15:16"], "n,r,branch,bound,star_size,match")])
+def test_text_matches_csv(capsys, argv, header):
+    # text lays out the CSV cells: a table two spaces apart for bounds,
+    # one "key: value" line per column for every other command
+    code, out = run_cli(capsys, *argv, "--format", "text")
+    csv_code, blob = run_cli(capsys, *argv, "--format", "csv")
+    assert code == csv_code == 0 and out.endswith("\n")
+    records = list(csv.reader(io.StringIO(blob)))
+    if argv[0] == "bounds":
+        assert records[0] == header.split(",")
+        assert [line.split("  ") for line in out.splitlines()] == records
+        return
+    lines = [line.split(": ", 1) for line in out.splitlines()]
+    assert [key for key, _ in lines] == records[0] == header.split(",")
+    for (key, value), cell in zip(lines, records[1]):
+        if key != "elapsed_ms":
+            assert value == cell, key
 
 
 def test_csv_quotes_cells_that_need_it():

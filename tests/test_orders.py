@@ -671,6 +671,9 @@ MALFORMED_ORDER_CALLS = [
     pytest.param(lambda: GoodCyclicOrder([3], (1, 2, 3, 4, 5, 6)), id="order-n-list"),
     pytest.param(lambda: normalize_rotation(2.0, (4, 1, 2, 3)), id="rotation-n-float"),
     pytest.param(lambda: normalize_rotation(2, None), id="rotation-seq-none"),
+    pytest.param(lambda: identity_order(None), id="identity-none"),
+    pytest.param(lambda: identity_order(3.0), id="identity-float"),
+    pytest.param(lambda: identity_order("3"), id="identity-str"),
 ]
 
 
@@ -678,6 +681,12 @@ MALFORMED_ORDER_CALLS = [
 def test_order_layer_rejects_malformed_arguments(call):
     with pytest.raises(ParameterError):
         call()
+
+
+def test_identity_order_checks_n_before_building():
+    # an n past the vertex-set width is refused before any tuple exists
+    with pytest.raises(CapacityError):
+        identity_order(10**20)
 
 
 def test_small_case_r_just_above_n_exhaustive():
