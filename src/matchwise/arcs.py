@@ -96,14 +96,19 @@ class IntervalFamily:
     def mask(self, start: int) -> int:
         """Bitmask of :meth:`positions`: an r-bit block rotated to ``start``."""
         require_int("start", start)
-        n = self.size
-        m = ((1 << self.length) - 1) << (start - 1) % n
-        return (m | m >> n) & ((1 << n) - 1)
+        return _arc_masks(self.size, self.length, (wrap(start, self.size),))[0]
 
     def starts_through(self, position: int) -> tuple[int, ...]:
         """Starts of all arcs of this length containing ``position``."""
         require_int("position", position)
         return _starts_through(self.size, self.length, position)
+
+
+def _arc_masks(size: int, length: int, starts) -> list[int]:
+    """The bitmask of the arc of ``length`` at each of ``starts`` (each
+    in 1..size): the r-bit block rotated to the start."""
+    block, full = (1 << length) - 1, (1 << size) - 1
+    return [(block << s - 1 | block >> size - s + 1) & full for s in starts]
 
 
 def _starts_through(size: int, length: int, position: int) -> tuple[int, ...]:
@@ -202,7 +207,8 @@ def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int]:
     starts = 0
     for s in fam.starts:
         starts |= 1 << s - 1
-    starts = (starts << rotation | starts >> n - rotation) & (1 << n) - 1
+    if rotation:
+        starts = (starts << rotation | starts >> n - rotation) & (1 << n) - 1
     # the complement of start s > 1 takes the index s-1 it ends at (bit
     # s-1 of starts), the distinguished one the block N..k*d (k*d >= N)
     assigned = starts & -2 | -1 << n    # bit x <=> index x is assigned
@@ -239,11 +245,11 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
     # class is walked only up to its first index >= N.
     d = n - r
     c = (full & -full).bit_length() - 1
-    members = tuple(wrap((x + 1 if x < n else 1) - rotation, n)
+    members = tuple(((x if x < n else 0) - rotation) % n + 1
                     for x in range(c, min(k * d, n + d - 1) + 1, d))
     common = -1
-    for s in members:
-        common &= fam.mask(s)
+    for mask in _arc_masks(n, r, members):
+        common &= mask
     if common:
         raise IntegrityError("covering witness fails to cover the circle")
     return AssignmentReport(n, r, k, rotation, starts, "covering_witness", members)
@@ -287,7 +293,7 @@ def common_index(fam: IntervalFamily, k: int) -> int:
             f"unassigned indices {u} do not form one contiguous stretch")
 
     # the arcs through x_norm start at x_norm-r+1..x_norm: one arc's mask
-    if fam.mask(x_norm - r + 1) != starts:
+    if _arc_masks(n, r, (wrap(x_norm - r + 1, n),)) != [starts]:
         raise IntegrityError(
             "family is not the set of all arcs through the candidate position")
     return wrap(x_norm - rotation, n)

@@ -291,12 +291,20 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     running intersection, so violations terminate early; a member that
     does not shrink it is skipped, since an inclusion-minimal witness
     shrinks it at every step.  So a witness has at most min(k, |fam|,
-    r+1) members, and the scan nests no deeper.
+    r+1) members, and the scan nests no deeper.  When the AND of all
+    members is nonzero (they share a vertex, as in every star) the
+    answer is None at once, before the scan is set up: that is the case
+    the scan would answer first.
     """
     require_type("fam", fam, UniformFamily)
     require_arity(k)
     members = fam.sets
     full = (1 << fam.universe_size) - 1
+    shared = full
+    for m in members:
+        shared &= m
+    if shared:                      # every member holds a common vertex
+        return None
     # common[i] is the AND of members[i:]: while inter & common[start] is
     # nonzero, no choice from members[start:] can empty the intersection
     common = [full] * (len(members) + 1)

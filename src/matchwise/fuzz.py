@@ -13,7 +13,10 @@ Two targets:
   members; whenever a covering witness is emitted, its members are
   re-checked to be at most k distinct arcs of the family that share no
   position.  Half the draws are biased through a common position so
-  conforming instances are plentiful.
+  conforming instances are plentiful.  Each trial builds and validates
+  its arc family once, and the k-wise oracle and the witness check
+  build their arc masks with one helper, ``arcs._arc_masks`` (the r-bit
+  block rotated to each start).
 
 * "common-index": full through-one-position families (always
   conforming) must yield exactly that position; a perturbed variant
@@ -26,7 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .arcs import IntervalFamily, _starts_through, assign_indices, common_index
+from .arcs import (IntervalFamily, _arc_masks, _starts_through, assign_indices,
+                   common_index)
 from .errors import IntegrityError, ParameterError, require_int
 from .families import UniformFamily, is_k_wise_intersecting
 from .schema import SCHEMA_VERSION
@@ -64,11 +68,9 @@ class FuzzSummary:
 
 
 def _materialize(fam: IntervalFamily) -> UniformFamily:
-    # the r-bit block rotated to each start, as IntervalFamily.mask builds it
-    n, r = fam.size, fam.length
-    block, full = (1 << r) - 1, (1 << n) - 1
-    return UniformFamily.from_masks(
-        n, r, ((block << s - 1 | block >> n - s + 1) & full for s in fam.starts))
+    """The arcs of ``fam`` as a family of r-sets, for the k-wise oracle."""
+    masks = _arc_masks(fam.size, fam.length, fam.starts)
+    return UniformFamily(fam.size, fam.length, tuple(sorted(masks)))
 
 
 def _instance(trial: int, fam: IntervalFamily, k: int, note: str) -> dict:
@@ -77,11 +79,13 @@ def _instance(trial: int, fam: IntervalFamily, k: int, note: str) -> dict:
 
 
 def _require_run(trials: int, seed: int) -> None:
-    """A fuzz run needs a positive int trial count and an int seed."""
+    """A fuzz run needs a positive int trial count and a nonnegative int seed."""
     require_int("trials", trials)
     if trials < 1:
         raise ParameterError(f"trial count must be positive, got {trials}")
     require_int("seed", seed)  # None would seed from the OS
+    if seed < 0:  # random.Random seeds with abs(seed), so -s would replay s
+        raise ParameterError(f"seed must be an int >= 0, got {seed}")
 
 
 def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
@@ -103,7 +107,8 @@ def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
         else:
             m = rng.randint(1, min(size, 9))
             starts = rng.sample(range(1, size + 1), m)
-        fam = IntervalFamily.from_starts(size, length, starts)
+        starts.sort()               # sampled starts never repeat
+        fam = IntervalFamily(size, length, tuple(starts))
         is_conforming = is_k_wise_intersecting(_materialize(fam), k)
 
         try:
@@ -112,28 +117,30 @@ def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
             violations.append(_instance(trial, fam, k, f"raised {exc!r}"))
             continue
 
+        is_bounded = report.outcome == "bounded"
         if is_conforming:
             conforming += 1
-            if not report.bounded:
+            if not is_bounded:
                 violations.append(_instance(
                     trial, fam, k, "covering witness on a k-wise family"))
-            elif len(fam) > length:
+            elif len(starts) > length:
                 violations.append(_instance(
-                    trial, fam, k, f"bounded but |family|={len(fam)} > r"))
+                    trial, fam, k, f"bounded but |family|={len(starts)} > r"))
         else:
             nonconforming += 1
-        if report.bounded:
+        if is_bounded:
             bounded += 1
         else:
             covering += 1
-            common = -1
-            for s in report.witness_members:
-                common &= fam.mask(s)
-            if common or not set(fam.starts).issuperset(report.witness_members):
+            members = report.witness_members
+            common = -1         # nonzero unless the members are family arcs sharing none
+            if set(starts).issuperset(members):
+                for mask in _arc_masks(size, length, members):
+                    common &= mask
+            if common:
                 violations.append(_instance(
                     trial, fam, k, "witness is not family arcs sharing no position"))
-            elif (len(set(report.witness_members)) != len(report.witness_members)
-                  or len(report.witness_members) > k):
+            elif len(set(members)) != len(members) or len(members) > k:
                 violations.append(_instance(
                     trial, fam, k, "witness does not list at most k distinct members"))
 
@@ -155,7 +162,7 @@ def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
         length = rng.randint(1, r_max)
         x = rng.randint(1, size)
         star_starts = _starts_through(size, length, x)
-        fam = IntervalFamily.from_starts(size, length, star_starts)
+        fam = IntervalFamily(size, length, star_starts)
         conforming += 1
         try:
             got = common_index(fam, k)
@@ -173,8 +180,8 @@ def fuzz_common_index(trials: int, seed: int = 0) -> FuzzSummary:
         out = rng.choice(star_starts)
         inside = set(star_starts)
         extra = rng.choice([s for s in range(1, size + 1) if s not in inside])
-        perturbed = IntervalFamily.from_starts(
-            size, length, [s for s in star_starts if s != out] + [extra])
+        perturbed = IntervalFamily(
+            size, length, tuple(sorted([s for s in star_starts if s != out] + [extra])))
         nonconforming += 1
         try:
             p = common_index(perturbed, k)

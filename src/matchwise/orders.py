@@ -437,7 +437,7 @@ def _saturate(n: int, seqs, fam: UniformFamily, k: int) -> tuple[SaturationStatu
     shared = {}                     # a status's fields -> the status
     out = []
     for seq in seqs:
-        starts = tuple(p for p, mask in enumerate(_windows(seq, r), 1) if mask in members)
+        starts = tuple([p for p, mask in enumerate(_windows(seq, r), 1) if mask in members])
         if len(starts) > r:
             raise IntegrityError(
                 f"{len(starts)} members appear as windows but at most {r} are "

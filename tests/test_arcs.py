@@ -9,6 +9,7 @@ from matchwise import (CapacityError, IntegrityError, IntervalFamily, ParameterE
                        UniformFamily, assign_indices, common_index,
                        is_k_wise_intersecting)
 
+import matchwise.arcs
 from matchwise.arcs import _starts_through
 from oracles import arc_starts_through, kwise_ok
 
@@ -126,6 +127,14 @@ def test_covering_witness_for_disjoint_arcs():
     for s in report.witness_members:
         common &= set(fam.positions(s))
     assert not common
+
+
+def test_covering_witness_is_checked_to_cover(monkeypatch):
+    # arcs forged to all hold position 1 leave it uncovered
+    monkeypatch.setattr(matchwise.arcs, "_arc_masks",
+                        lambda size, length, starts: [1 for _ in starts])
+    with pytest.raises(IntegrityError, match="fails to cover the circle"):
+        assign_indices(IntervalFamily(6, 2, (1, 3, 5)), 3)
 
 
 def test_singleton_family_is_bounded():
@@ -298,6 +307,21 @@ def test_common_index_rejects_precondition_violations():
     fam2 = IntervalFamily.from_starts(8, 2, [1, 3])
     with pytest.raises(IntegrityError):
         common_index(fam2, 2)
+
+
+def test_common_index_checks_the_through_arc(monkeypatch):
+    # without its distinguished start (bit 0) the star's rotated starts
+    # still leave one stretch of N-r free indices, so only the comparison
+    # with the arc through the candidate position rejects them
+    real = matchwise.arcs._assign
+
+    def forged(fam, k):
+        rotation, starts, full = real(fam, k)
+        return rotation, starts & ~1, full
+
+    monkeypatch.setattr(matchwise.arcs, "_assign", forged)
+    with pytest.raises(IntegrityError, match="not the set of all arcs through"):
+        common_index(IntervalFamily(7, 3, (3, 4, 5)), 3)
 
 
 def test_common_index_exhaustive_small_circles():

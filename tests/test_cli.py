@@ -278,6 +278,8 @@ MALFORMED = [
      2, "parameter"),
     (["circle", "--n", "3", "--action", "count", "--r", "3"], 2, "parameter"),
     (["circle", "--n", "3", "--action", "moves", "--r", "99"], 2, "parameter"),
+    # a negative seed would replay its absolute value's run
+    (["fuzz", "--target", "assignment", "--seed", "-1"], 2, "parameter"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known

@@ -3,8 +3,9 @@ import dataclasses
 import pytest
 
 import matchwise.fuzz
-from matchwise import (IntervalFamily, ParameterError, UniformFamily, fuzz_assignment,
-                       fuzz_common_index, run_fuzz)
+from matchwise import (IntegrityError, IntervalFamily, ParameterError, UniformFamily,
+                       fuzz_assignment, fuzz_common_index, is_k_wise_intersecting,
+                       run_fuzz)
 
 
 def test_assignment_fuzz_finds_no_violations():
@@ -62,6 +63,137 @@ def test_assignment_fuzz_rejects_forged_witnesses(monkeypatch, forge, note):
     assert {v["note"] for v in summary.violations} == {note}
 
 
+def test_assignment_fuzz_reports_a_raise(monkeypatch):
+    real = matchwise.fuzz.assign_indices
+    raised = []
+
+    def assign_indices(fam, k):
+        if len(fam) == 1:
+            raised.append(fam.starts)
+            raise RuntimeError("forged")
+        return real(fam, k)
+
+    monkeypatch.setattr(matchwise.fuzz, "assign_indices", assign_indices)
+    summary = fuzz_assignment(trials=300, seed=0)
+    assert len(raised) > 10
+    assert [v["starts"] for v in summary.violations] == [list(s) for s in raised]
+    assert {v["note"] for v in summary.violations} == {"raised RuntimeError('forged')"}
+    # a trial that raised is counted in neither class
+    assert summary.conforming + summary.nonconforming == 300 - len(raised)
+
+
+def test_assignment_fuzz_rejects_a_covering_outcome_on_a_kwise_family(monkeypatch):
+    real = matchwise.fuzz.assign_indices
+    kwise = []
+
+    def assign_indices(fam, k):
+        report = real(fam, k)
+        if not report.bounded:
+            return report
+        arcs = UniformFamily.from_masks(fam.size, fam.length, map(fam.mask, fam.starts))
+        if is_k_wise_intersecting(arcs, k):
+            kwise.append(fam.starts)
+        return dataclasses.replace(report, outcome="covering_witness",
+                                   witness_members=fam.starts)
+
+    monkeypatch.setattr(matchwise.fuzz, "assign_indices", assign_indices)
+    summary = fuzz_assignment(trials=300, seed=0)
+    note = "covering witness on a k-wise family"
+    assert [v["starts"] for v in summary.violations if v["note"] == note] == [
+        list(s) for s in kwise]
+    assert len(kwise) == summary.conforming > 50
+    assert summary.bounded == 0
+
+
+def test_assignment_fuzz_rejects_a_bounded_outcome_on_more_than_r_arcs(monkeypatch):
+    # with a true oracle no k-wise family here has more than r arcs, so the
+    # oracle is forged too: every family passes as k-wise intersecting
+    real = matchwise.fuzz.assign_indices
+    over = []
+
+    def assign_indices(fam, k):
+        if len(fam) > fam.length:
+            over.append(fam.starts)
+        return dataclasses.replace(real(fam, k), outcome="bounded", witness_members=None)
+
+    monkeypatch.setattr(matchwise.fuzz, "assign_indices", assign_indices)
+    monkeypatch.setattr(matchwise.fuzz, "is_k_wise_intersecting", lambda fam, k: True)
+    summary = fuzz_assignment(trials=300, seed=0)
+    assert len(over) > 10
+    assert [v["starts"] for v in summary.violations] == [list(s) for s in over]
+    assert [v["note"] for v in summary.violations] == [
+        f"bounded but |family|={len(s)} > r" for s in over]
+
+
+def _raise_on_star(real, fam, k):
+    real(fam, k)            # a star passes, and its trial then ends
+    raise RuntimeError("forged")
+
+
+def _raise_on_rejection(real, fam, k):
+    try:
+        return real(fam, k)
+    except IntegrityError:
+        raise RuntimeError("forged") from None
+
+
+@pytest.mark.parametrize("forge", [_raise_on_star, _raise_on_rejection],
+                         ids=["star", "perturbed"])
+def test_common_index_fuzz_reports_a_raise(monkeypatch, forge):
+    real = matchwise.fuzz.common_index
+    raised = []
+
+    def common_index(fam, k):
+        try:
+            return forge(real, fam, k)
+        except RuntimeError:
+            raised.append(fam.starts)
+            raise
+
+    monkeypatch.setattr(matchwise.fuzz, "common_index", common_index)
+    summary = fuzz_common_index(trials=300, seed=0)
+    assert len(raised) > 50
+    assert [v["starts"] for v in summary.violations] == [list(s) for s in raised]
+    assert {v["note"] for v in summary.violations} == {"raised RuntimeError('forged')"}
+    assert summary.integrity_rejections == 0
+
+
+def test_common_index_fuzz_rejects_a_wrong_position(monkeypatch):
+    real = matchwise.fuzz.common_index
+    monkeypatch.setattr(matchwise.fuzz, "common_index",
+                        lambda fam, k: real(fam, k) % fam.size + 1)
+    summary = fuzz_common_index(trials=300, seed=0)
+    returned = [v for v in summary.violations if v["note"].startswith("returned ")]
+    assert len(returned) == 300                 # one per star
+    for v in returned:
+        x = real(IntervalFamily(v["N"], v["r"], tuple(v["starts"])), v["k"])
+        assert v["note"] == f"returned {x % v['N'] + 1}, expected {x}"
+    # an accepted perturbation, shifted, is no longer the family through its answer
+    assert {v["note"] for v in summary.violations if v not in returned} <= {
+        f"accepted a family that is not the full family through {p}"
+        for p in range(1, 25)}
+
+
+def test_common_index_fuzz_rejects_an_accepted_perturbation(monkeypatch):
+    real = matchwise.fuzz.common_index
+    accepted = []
+
+    def common_index(fam, k):
+        try:
+            return real(fam, k)
+        except IntegrityError:
+            accepted.append(fam.starts)
+            return 1
+
+    monkeypatch.setattr(matchwise.fuzz, "common_index", common_index)
+    summary = fuzz_common_index(trials=300, seed=0)
+    assert len(accepted) > 50
+    assert [v["starts"] for v in summary.violations] == [list(s) for s in accepted]
+    assert {v["note"] for v in summary.violations} == {
+        "accepted a family that is not the full family through 1"}
+    assert summary.integrity_rejections == 0
+
+
 def test_common_index_fuzz_finds_no_violations():
     summary = fuzz_common_index(trials=1000, seed=0)
     assert summary.ok
@@ -99,9 +231,11 @@ def test_fuzz_needs_positive_trials(fuzz, trials):
 
 
 @pytest.mark.parametrize("fuzz", [fuzz_assignment, fuzz_common_index])
-@pytest.mark.parametrize("trials, seed", [(2.5, 0), (10, None), (10, 1.5), (10, "7")])
+@pytest.mark.parametrize("trials, seed",
+                         [(2.5, 0), (10, None), (10, 1.5), (10, "7"), (10, -1)])
 def test_fuzz_needs_int_trials_and_seed(fuzz, trials, seed):
-    # a seed of None would draw from the OS and break reproducibility
+    # a seed of None would draw from the OS and break reproducibility, and
+    # random.Random seeds with abs(seed), so -1 would replay seed 1's run
     with pytest.raises(ParameterError, match="must be an int"):
         fuzz(trials, seed)
 
@@ -112,3 +246,20 @@ def test_summary_json_shape():
                   "violation_count", "violations"):
         assert field in obj
     assert obj["violation_count"] == 0
+
+
+# seed 0 at 10,000 trials: a drift in the draw stream or in any outcome
+# moves at least one of these counts
+PINNED = {
+    "assignment": {"conforming": 6525, "nonconforming": 3475, "bounded": 6733,
+                   "covering": 3267, "integrity_rejections": 0},
+    "common-index": {"conforming": 10000, "nonconforming": 4977, "bounded": 0,
+                     "covering": 0, "integrity_rejections": 3810},
+}
+
+
+@pytest.mark.parametrize("target", PINNED)
+def test_seed_zero_summaries_are_pinned(target):
+    summary = run_fuzz(target, 10000, seed=0)
+    assert summary.ok
+    assert {field: getattr(summary, field) for field in PINNED[target]} == PINNED[target]
