@@ -8,11 +8,15 @@ once.  Two closures of :func:`max_kwise_family` walk it, ``include``
 and share its counters.  Three ingredients keep the tree small:
 
 * an incremental k-wise feasibility filter: the distinct intersections
-  of the j-subsets of the current family are kept as one set per j <
-  k, and a candidate survives only while it meets every (k-1)-wise one
-  (each new intersection lies inside the new member, so survivors also
-  meet it).  Adding a member filters by the intersections it creates
-  that were not there before, and removing it takes exactly those out,
+  of the j-subsets of the current family are kept as one set per j <=
+  k-2, and a candidate survives only while it meets every (k-1)-wise
+  one.  Adding a member to fewer than k-2 chosen ones filters by the
+  intersection of them all; adding one to k-2 or more filters by its
+  conflict row below, which then holds exactly the members meeting
+  every (k-1)-wise intersection the new member creates (the older ones
+  filtered the candidates already).  Adding a member records the
+  intersections it creates that were not there before, and removing it
+  takes exactly those out,
 * best-found pruning seeded with the largest star in the universe
   (stars are k-wise intersecting for every k, so this lower bound is
   always achievable),
@@ -25,6 +29,10 @@ and share its counters.  Three ingredients keep the tree small:
   the room (chosen plus candidates) by one.  A member's new (k-2)-wise
   intersections narrow the candidates' rows, and removing it restores
   them.
+
+When k > r or k >= |U|, every k-wise intersecting family shares a
+vertex (Helly), so the largest stars are the maximum families and no
+tree is walked.
 
 All read one incidence table built per search: ``through[v]`` is the
 bitset of member indices containing vertex v+1.  The members meeting a
@@ -278,6 +286,12 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     generate and reads its orbits from the kept generators' rows.  It
     lists group elements only while skipping redundant permutations, and
     then no more of them than permutations were given.
+
+    For k > r or k >= |U| the answer is read from the stars without a
+    search: a family of r-sets with no common vertex holds r + 1 members
+    with none (one member, and one missing each of its vertices), and a
+    subfamily of U has at most |U| members, so k-wise intersecting then
+    means sharing a vertex.  The root is then the one explored node.
     """
     require_type("problem", problem, SearchProblem)
     universe, k, mode = problem.universe, problem.k, problem.mode
@@ -304,7 +318,8 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
 
     # comp[a] = the members b such that a, b and every (k-2)-wise
     # intersection of the chosen family share a vertex; for k = 2 that is
-    # every member meeting a, for k > 2 the empty family leaves all
+    # every member meeting a, for k > 2 the empty family leaves all.  Once
+    # k-2 members are chosen, comp[i] is member i's candidate filter
     comp = ([meets[m] for m in masks] if k == 2 else
             [(1 << len(masks)) - 1] * len(masks))
 
@@ -314,27 +329,33 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
         records.append((0, ()))
     nodes = 1  # the empty-family root
     size_prunes = conflict_prunes = 0
-    arity = min(k, len(masks) + 2)  # past |U| + 2, k changes no branch
-    km1, km2 = arity - 1, arity - 2
+    km2 = k - 2
     chosen: list[int] = []
     # levels[j] = the distinct intersections of the j-subsets of the chosen
-    # family; every one at level k-1 has already filtered the candidates
-    levels: list[set[int]] = [{(1 << 64) - 1}] + [set() for _ in range(km1)]
+    # family, j <= k-2; levels 1..k-2 are added once the Helly case below
+    # is ruled out, since k is then below |U|
+    levels: list[set[int]] = [{(1 << 64) - 1}]
 
     def include(i: int, cand: int, depth: int) -> None:
         """Add member i, filter candidates and conflicts, recurse, undo."""
         mi = masks[i]
-        bind = min(km1, depth + 1)
+        bind = min(km2, depth + 1)
         added: list = [None] * (bind + 1)
         for j in range(bind, 0, -1):  # downward: levels[j-1] is still old
             added[j] = {x & mi for x in levels[j - 1]} - levels[j]
             levels[j] |= added[j]
-        for x in added[bind]:
-            if not cand:
-                break
-            cand &= meets[x]
+        if depth >= km2:
+            # i's row was narrowed by every (k-2)-wise intersection x of the
+            # chosen members, as i was a candidate at every ancestor: a
+            # member b in it meets each new (k-1)-wise one, mi & x
+            cand &= comp[i]
+        else:
+            for x in added[bind]:  # the one intersection of all chosen and i
+                cand &= meets[x]
         # narrow the conflict rows by new (k-2)-wise ones, unless the
-        # child's size test prunes before it reads a row
+        # child's size test prunes before it includes anything: the rows are
+        # the filters of the members included below, not only a bound, so
+        # a row may stay wide only where no member is included
         saved = None
         if (0 < km2 <= bind and added[km2] and cand
                 and depth + 1 + cand.bit_count() >= max(best, depth + 1) + (not collect)):
@@ -388,11 +409,17 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
             include(low.bit_length() - 1, cand, depth)
             need = best + (not collect)
 
-    covered: set[tuple[int, ...]] = set()
-    for i0 in range(len(masks)):
-        if (i0,) not in covered:  # ascending, so i0 is least in its orbit
-            covered |= _orbit((i0,), rows, _image)
-            include(i0, (1 << len(masks)) - (2 << i0), 0)  # the members above i0
+    if k > universe.r or k >= len(masks):  # Helly: the maxima are the largest stars
+        if collect and best:
+            records += [(best, tuple(i for i in range(len(masks)) if t >> i & 1))
+                        for t in through if t.bit_count() == best]
+    else:
+        levels += [set() for _ in range(km2)]
+        covered: set[tuple[int, ...]] = set()
+        for i0 in range(len(masks)):
+            if (i0,) not in covered:  # ascending, so i0 is least in its orbit
+                covered |= _orbit((i0,), rows, _image)
+                include(i0, (1 << len(masks)) - (2 << i0), 0)  # the members above i0
 
     witnesses: tuple[UniformFamily, ...] = ()
     all_are_stars: bool | None = None

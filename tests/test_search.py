@@ -126,24 +126,49 @@ def test_witnesses_pass_kwise_and_have_max_size():
         assert is_k_wise_intersecting(w, 3)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_solver_agrees_with_oracle_on_random_universes(data):
+    # k up to 12 reaches the shallow filter (fewer than k-2 members chosen),
+    # the conflict-row filter, and the star answers for k > r and k >= |U|
     m = data.draw(st.integers(min_value=3, max_value=7))
     r = data.draw(st.integers(min_value=1, max_value=max(1, m - 1)))
     pool = complete_uniform_family(m, r).sets
     size = data.draw(st.integers(min_value=1, max_value=min(10, len(pool))))
     chosen = data.draw(st.permutations(list(pool)))[:size]
     universe = UniformFamily.from_masks(m, r, chosen)
-    k = data.draw(st.integers(min_value=2, max_value=4))
+    k = data.draw(st.integers(min_value=2, max_value=12))
     result = max_kwise_family(SearchProblem(universe, k))
     oracle_check(universe, k, result)
+    max_size, hits = brute_max_kwise_masks(universe.sets, k)
+    assert [w.sets for w in result.witnesses] == sorted(hits)
 
 
 def _draw(r: int, seed: str, size: int) -> UniformFamily:
     """``size`` members of the n=5 union family, drawn as the benchmark does."""
     pool = matching_universe(5, r).sets
     return UniformFamily.from_masks(10, r, random.Random(seed).sample(pool, size))
+
+
+def _circle(size: int, length: int) -> UniformFamily:
+    """Every arc of ``length`` on a circle of ``size`` positions."""
+    arcs = IntervalFamily(size, length, tuple(range(1, size + 1)))
+    return UniformFamily.from_masks(size, length, map(arcs.mask, arcs.starts))
+
+
+def test_helly_answers_large_k_from_the_stars():
+    # k > r: 32-wise intersecting arcs share a position, so the maxima are
+    # the 32 stars of 31 arcs each, read without a search.  The N = 20
+    # circle at r = 19, k = 21 took 191 nodes and about 3 s by search
+    universe = _circle(32, 31)
+    start = time.perf_counter()
+    result = max_kwise_family(SearchProblem(universe, 32))
+    assert time.perf_counter() - start < 1.0
+    assert result.explored_nodes == 1
+    assert result.max_size == 31
+    assert sorted(w.sets for w in result.witnesses) == sorted(
+        universe.star(v).sets for v in range(1, 33))
+    assert result.all_are_stars and result.star_centers == tuple(range(1, 33))
 
 
 @pytest.mark.parametrize("r, k", [(6, 3), (7, 4)])
@@ -553,6 +578,12 @@ NODE_COUNTS = [
         SearchProblem(_draw(6, "panel:6:0", 34), 3)), 138, id="panel-r6-11212"),
     pytest.param(lambda: max_kwise_family(
         SearchProblem(_draw(7, "panel:7:0", 34), 4)), 370, id="panel-r7-4445"),
+    # large k, where most members join with k-2 or more chosen and filter
+    # their candidates by their conflict rows
+    pytest.param(lambda: verify_extremal_characterization(4, 6, 5), 240,
+                 id="verify-4-6-5"),
+    pytest.param(lambda: max_kwise_family(SearchProblem(_circle(14, 12), 7)), 343,
+                 id="circle-14-12-k7"),
 ]
 
 
