@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
-                     require_int, require_type)
+from .errors import (WIDTH, IntegrityError, ParameterError, require_arity, require_int,
+                     require_int_in, require_regime, require_type)
 
 
 def wrap(p: int, size: int) -> int:
@@ -56,22 +56,18 @@ class IntervalFamily:
     starts: tuple[int, ...]  # ascending start positions in 1..size
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, and a float would leak into every report
-        if type(self.size) is not int or self.size < 2:
-            raise ParameterError(f"circle needs an int N >= 2 positions, got {self.size!r}")
-        if self.size > 64:  # the width of every vertex set
-            raise CapacityError(f"circle supports N <= 64 positions, got N={self.size}")
-        if type(self.length) is not int or not 1 <= self.length < self.size:
-            raise ParameterError(
-                f"arc length must be an int 1 <= r < N, got r={self.length!r}, N={self.size}")
-        if type(self.starts) is not tuple:
-            raise ParameterError(f"starts must be a tuple, got {self.starts!r}")
+        # a float would leak into every report
+        require_int_in("N", self.size, 2, cap=WIDTH)
+        require_int_in("r", self.length, 1, self.size - 1)
+        starts, size = self.starts, self.size
+        if type(starts) is not tuple:
+            raise ParameterError(f"starts must be a tuple, got {starts!r}")
         prev = 0
-        for s in self.starts:
-            if type(s) is not int or not 1 <= s <= self.size:
-                raise ParameterError(f"start {s!r} is not an int in 1..{self.size}")
-            if s <= prev:
-                raise ParameterError("starts must be strictly ascending")
+        for s in starts:
+            if type(s) is not int or not prev < s <= size:
+                raise ParameterError(
+                    "starts must be strictly ascending" if type(s) is int and 1 <= s <= size
+                    else f"start {s!r} is not an int in 1..{size}")
             prev = s
 
     @classmethod
@@ -188,18 +184,11 @@ def _assign(fam: IntervalFamily, k: int) -> tuple[int, int, int]:
     """The assignment's bitsets: ``(rotation, starts, full)``.
 
     ``starts`` has bit s-1 set for each rotated start s, and ``full``
-    bit c for each residue class c whose indices are all assigned.
-    Raises ``ParameterError`` unless k >= 2, fam is nonempty and
-    k*r <= (k-1)*N.
+    bit c for each residue class c whose indices are all assigned.  The
+    callers check first that k >= 2, fam is nonempty and k*r <=
+    (k-1)*N.
     """
-    require_arity(k)
-    if not fam.starts:
-        raise ParameterError("the assignment procedure needs a nonempty family")
     n, r = fam.size, fam.length
-    if k * r > (k - 1) * n:
-        raise ParameterError(
-            f"need k*r <= (k-1)*N for the index accounting, got k={k}, r={r}, N={n}")
-
     d = n - r                      # class modulus; complements have length d
     # the complement of the arc at s ends at s-1: the distinguished one,
     # ending last, is start 1's if present, else the largest start's
@@ -230,8 +219,12 @@ def assign_indices(fam: IntervalFamily, k: int) -> AssignmentReport:
     one keeps reports reproducible.
     """
     require_type("fam", fam, IntervalFamily)
-    rotation, starts, full = _assign(fam, k)
+    require_arity(k)
+    if not fam.starts:
+        raise ParameterError("the assignment procedure needs a nonempty family")
     n, r = fam.size, fam.length
+    require_regime(k, r, n, False, "the index accounting")
+    rotation, starts, full = _assign(fam, k)
     if not full:
         if len(fam) > r:
             raise IntegrityError("every class has an unassigned index yet "
@@ -269,10 +262,7 @@ def common_index(fam: IntervalFamily, k: int) -> int:
     require_type("fam", fam, IntervalFamily)
     n, r = fam.size, fam.length
     require_arity(k)
-    if k * r >= (k - 1) * n:
-        raise ParameterError(
-            f"common-index extraction needs k*r < (k-1)*N strictly, "
-            f"got k={k}, r={r}, N={n}")
+    require_regime(k, r, n, True, "common-index extraction")
     if len(fam) != r:
         raise ParameterError(f"family has {len(fam)} arcs, expected exactly r={r}")
 

@@ -15,7 +15,8 @@ import functools
 import json
 import sys
 
-from .errors import CapacityError, IntegrityError, MatchwiseError, ParameterError
+from .errors import (CapacityError, IntegrityError, MatchwiseError, ParameterError,
+                     require_int_in)
 from .families import enumerate_family, matching_star_bound, matching_universe
 from . import fuzz
 from .orders import (connectivity_check, construct_order_containing,
@@ -115,11 +116,9 @@ def _render(args, obj: dict, columns: list[str] | None = None,
 
 def _cmd_bounds(args) -> tuple[str, bool]:
     n_lo, n_hi = _parse_range(args.n)
-    if n_lo < 1:
-        raise ParameterError(f"need an edge count n >= 1, got --n {args.n!r}")
+    require_int_in("the low end of --n", n_lo, 1)
     r_lo, r_hi = (1, None) if args.r is None else _parse_range(args.r)
-    if r_lo < 1:
-        raise ParameterError(f"need a cardinality r >= 1, got --r {args.r!r}")
+    require_int_in("the low end of --r", r_lo, 1)
     rows = []
     for n in range(n_lo, n_hi + 1):
         # a high end above 2n is clipped per n; the default stops at 2n-1

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .errors import (CapacityError, ParameterError, require_arity, require_int, require_mask,
-                     require_type)
+from .errors import (WIDTH, CapacityError, ParameterError, require_arity, require_int,
+                     require_int_in, require_mask, require_type)
 
 FamilyKind = str  # "independent" | "max_containing" | "union"
 
@@ -74,11 +74,7 @@ class MatchingGraph:
     n: int
 
     def __post_init__(self) -> None:
-        require_int("n", self.n)
-        if self.n < 1:
-            raise ParameterError(f"need at least one edge, got n={self.n}")
-        if 2 * self.n > 64:
-            raise CapacityError(f"supported width is 2n <= 64, got n={self.n}")
+        require_int_in("n", self.n, 1, cap=WIDTH // 2)  # 2n vertices
 
     @property
     def vertex_count(self) -> int:
@@ -88,9 +84,7 @@ class MatchingGraph:
         return tuple((i, i + self.n) for i in range(1, self.n + 1))
 
     def partner(self, v: int) -> int:
-        require_int("v", v)
-        if not 1 <= v <= 2 * self.n:
-            raise ParameterError(f"vertex {v} outside 1..{2 * self.n}")
+        require_int_in("v", v, 1, 2 * self.n)
         return v + self.n if v <= self.n else v - self.n
 
     def full_edge_count(self, mask: int) -> int:
@@ -130,31 +124,24 @@ class UniformFamily:
     sets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, a float breaks the bit arithmetic, and a
-        # list of sets would leave the family unhashable
-        if type(self.universe_size) is not int or self.universe_size < 1:
-            raise ParameterError(
-                f"universe size must be an int of at least 1, got {self.universe_size!r}")
-        if self.universe_size > 64:
-            raise CapacityError(
-                f"supported universe size is at most 64, got {self.universe_size}")
-        if type(self.r) is not int or not 0 <= self.r <= self.universe_size:
-            raise ParameterError(
-                f"cardinality r={self.r!r} is not an int in 0..{self.universe_size}")
+        # a float breaks the bit arithmetic, and a list of sets would leave
+        # the family unhashable
+        require_int_in("universe size", self.universe_size, 1, cap=WIDTH)
+        require_int_in("r", self.r, 0, self.universe_size)
         if type(self.sets) is not tuple:
             raise ParameterError(f"sets must be a tuple, got {self.sets!r}")
-        full = (1 << self.universe_size) - 1
+        outside, r = -1 << self.universe_size, self.r
         prev = -1
         for s in self.sets:
             if type(s) is not int:
                 raise ParameterError(f"sets are int bitmasks, got {s!r}")
             if s <= prev:
                 raise ParameterError("family sets must be strictly ascending")
-            if s & ~full:
+            if s & outside:
                 raise ParameterError("set exceeds the universe")
-            if s.bit_count() != self.r:
+            if s.bit_count() != r:
                 raise ParameterError(
-                    f"set {vertices_of(s)} has size {s.bit_count()}, expected {self.r}")
+                    f"set {vertices_of(s)} has size {s.bit_count()}, expected {r}")
             prev = s
 
     @classmethod
@@ -190,9 +177,7 @@ class UniformFamily:
 
     def star(self, v: int) -> "UniformFamily":
         """The subfamily of members containing vertex ``v``."""
-        require_int("v", v)
-        if not 1 <= v <= self.universe_size:
-            raise ParameterError(f"vertex {v} outside 1..{self.universe_size}")
+        require_int_in("v", v, 1, self.universe_size)
         bit = 1 << (v - 1)
         return UniformFamily(self.universe_size, self.r,
                              tuple(s for s in self.sets if s & bit))
@@ -239,9 +224,7 @@ def enumerate_family(n: int, r: int, kind: FamilyKind) -> UniformFamily:
     graph = MatchingGraph(n)
     if kind not in _KINDS:
         raise ParameterError(f"unknown family kind {kind!r}")
-    require_int("r", r)
-    if not 1 <= r <= 2 * n:
-        raise ParameterError(f"cardinality r={r} outside 1..{2 * n}")
+    require_int_in("r", r, 1, 2 * n)
 
     # at r = n both kinds are the 2^n maximum independent sets
     if (kind == "independent" and r > n) or (kind == "max_containing" and r < n):
@@ -265,13 +248,9 @@ def matching_universe(n: int, r: int) -> UniformFamily:
 def complete_uniform_family(m: int, r: int) -> UniformFamily:
     """All r-subsets of the ground set [m]."""
     require_int("m", m)
-    require_int("r", r)
-    if m < 1:
-        raise ParameterError(f"ground set size must be at least 1, got {m}")
-    if m > 64:
-        raise CapacityError(f"supported ground set size is at most 64, got {m}")
-    if not 0 <= r <= m:
-        raise ParameterError(f"cardinality r={r} outside 0..{m}")
+    require_int("r", r)  # before m's cap: malformed input is a parameter error
+    require_int_in("m", m, 1, cap=WIDTH)
+    require_int_in("r", r, 0, m)
     _check_members(binomial(m, r))
     masks = [mask_of(c) for c in combinations(range(1, m + 1), r)]
     return UniformFamily.from_masks(m, r, masks)
@@ -365,10 +344,8 @@ def _orbit(x, gens, act) -> set:
 
 def binomial(a: int, b: int) -> int:
     """Exact binomial coefficient with C(a, b) = 0 when b > a."""
-    require_int("a", a)
-    require_int("b", b)
-    if a < 0 or b < 0:
-        raise ParameterError(f"binomial wants nonnegative arguments, got ({a}, {b})")
+    require_int_in("a", a, 0)
+    require_int_in("b", b, 0)
     return math.comb(a, b)
 
 
@@ -389,9 +366,7 @@ def matching_star_bound(n: int, r: int) -> BoundValue:
     2^(2n-r) * C(n-1, 2n-r) + 2^(2n-r-1) * C(n-1, 2n-r-1).
     """
     MatchingGraph(n)
-    require_int("r", r)
-    if not 1 <= r <= 2 * n:
-        raise ParameterError(f"cardinality r={r} outside 1..{2 * n}")
+    require_int_in("r", r, 1, 2 * n)
     if r <= n:
         return BoundValue((1 << (r - 1)) * binomial(n - 1, r - 1), "r_le_n")
     value = (1 << (2 * n - r)) * binomial(n - 1, 2 * n - r)
@@ -406,10 +381,6 @@ def complete_star_bound(m: int, r: int) -> int:
     Equals the maximum size of a k-wise intersecting family of
     r-subsets of [m] whenever k*r <= (k-1)*m.
     """
-    require_int("m", m)
-    require_int("r", r)
-    if m < 1:
-        raise ParameterError(f"ground set must be nonempty, got m={m}")
-    if not 1 <= r <= m:
-        raise ParameterError(f"cardinality r={r} outside 1..{m}")
+    require_int_in("m", m, 1)
+    require_int_in("r", r, 1, m)
     return binomial(m - 1, r - 1)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .arcs import (IntervalFamily, _arc_masks, _starts_through, assign_indices,
                    common_index)
-from .errors import IntegrityError, ParameterError, require_int
+from .errors import IntegrityError, ParameterError, require_int_in
 from .families import UniformFamily, is_k_wise_intersecting
 from .schema import SCHEMA_VERSION
 
@@ -80,12 +80,10 @@ def _instance(trial: int, fam: IntervalFamily, k: int, note: str) -> dict:
 
 def _require_run(trials: int, seed: int) -> None:
     """A fuzz run needs a positive int trial count and a nonnegative int seed."""
-    require_int("trials", trials)
-    if trials < 1:
-        raise ParameterError(f"trial count must be positive, got {trials}")
-    require_int("seed", seed)  # None would seed from the OS
-    if seed < 0:  # random.Random seeds with abs(seed), so -s would replay s
-        raise ParameterError(f"seed must be an int >= 0, got {seed}")
+    require_int_in("trials", trials, 1)
+    # None would seed from the OS, and random.Random seeds with abs(seed),
+    # so -s would replay s
+    require_int_in("seed", seed, 0)
 
 
 def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:

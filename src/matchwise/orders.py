@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .arcs import IntervalFamily, common_index
-from .errors import (CapacityError, IntegrityError, MatchwiseError, ParameterError,
-                     require_arity, require_int, require_mask, require_type)
+from .errors import (IntegrityError, MatchwiseError, ParameterError, require_arity,
+                     require_int, require_int_in, require_mask, require_regime,
+                     require_type)
 from .families import MatchingGraph, UniformFamily, _orbit, is_k_wise_intersecting
 
 
@@ -114,9 +115,7 @@ def good_order_count(n: int) -> int:
 
 
 def _require_enumerable(n: int) -> None:
-    MatchingGraph(n)
-    if n > 8:
-        raise CapacityError(f"enumeration is supported for n <= 8, got n={n}")
+    require_int_in("n", n, 1, cap=8)
 
 
 def _order_blocks(n: int):
@@ -216,10 +215,7 @@ def intervals(order: GoodCyclicOrder, r: int) -> list[tuple[int, int]]:
     """All 2n length-r windows as (start position, vertex bitmask), each
     the previous one minus the leaving vertex plus the entering one."""
     require_type("order", order, GoodCyclicOrder)
-    size = order.size
-    require_int("r", r)
-    if not 1 <= r < size:
-        raise ParameterError(f"window length must satisfy 1 <= r < {size}, got {r}")
+    require_int_in("r", r, 1, order.size - 1)
     return list(enumerate(_windows(order.seq, r), 1))
 
 
@@ -244,9 +240,7 @@ def is_interval(order: GoodCyclicOrder, mask: int) -> int | None:
     if mask >> size:
         raise ParameterError(f"set contains vertices beyond {size}")
     count = mask.bit_count()
-    if not 1 <= count < size:
-        raise ParameterError(
-            f"set size must be in 1..{size - 1}, got {count}")
+    require_int_in("set size", count, 1, size - 1)
     windows = _windows(order.seq, count)
     return windows.index(mask) + 1 if mask in windows else None
 
@@ -256,9 +250,7 @@ def orders_containing_count(n: int, r: int) -> int:
     appears as a window: s! (n-s)! 2^(n-s) with s = min(r, 2n-r), since
     a window's complement in a good order is a window too."""
     MatchingGraph(n)
-    require_int("r", r)
-    if not 1 <= r < 2 * n:
-        raise ParameterError(f"need 1 <= r < 2n, got r={r}, n={n}")
+    require_int_in("r", r, 1, 2 * n - 1)
     s = min(r, 2 * n - r)
     return math.factorial(s) * math.factorial(n - s) * (1 << (n - s))
 
@@ -316,9 +308,7 @@ def transpose(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     """Swap positions i, i+1 and their partner positions i+n, i+n+1."""
     require_type("order", order, GoodCyclicOrder)
     n = order.n
-    require_int("i", i)
-    if not 1 <= i <= n - 2:
-        raise ParameterError(f"transposition index must be in 1..{n - 2}, got {i}")
+    require_int_in("i", i, 1, n - 2)
     return GoodCyclicOrder(n, _move_maps(n)[i - 1](order.seq))
 
 
@@ -326,9 +316,7 @@ def swap_halves(order: GoodCyclicOrder, i: int) -> GoodCyclicOrder:
     """Exchange the vertices at positions i and n+i (a partner swap)."""
     require_type("order", order, GoodCyclicOrder)
     n = order.n
-    require_int("i", i)
-    if not 1 <= i <= n - 1:
-        raise ParameterError(f"swap index must be in 1..{n - 1}, got {i}")
+    require_int_in("i", i, 1, n - 1)
     return GoodCyclicOrder(n, _position_map(n, (i, i + n))(order.seq))
 
 
@@ -347,9 +335,7 @@ def connectivity_check(n: int) -> ConnectivityReport:
     position maps; each seq in it is then checked by :func:`_check_row`
     (a breach raises ParameterError, as the order's constructor would).
     """
-    MatchingGraph(n)
-    if n > 7:
-        raise CapacityError(f"connectivity check is supported for n <= 7, got n={n}")
+    require_int_in("n", n, 1, cap=7)
     orbit = _orbit(identity_order(n).seq, _move_maps(n), lambda seq, move: move(seq))
     for seq in orbit:
         _check_row(n, seq, ParameterError)
@@ -373,10 +359,8 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
     """
     graph = MatchingGraph(n)
     size, _, partner, _ = _layout(n)
-    require_int("r", r)
+    require_int_in("r", r, n, size - 1)
     require_int("member_mask", member_mask)
-    if not n <= r < size:
-        raise ParameterError(f"need n <= r < 2n, got r={r}, n={n}")
     if member_mask.bit_count() != r:
         raise ParameterError(
             f"member has {member_mask.bit_count()} vertices, expected r={r}")
@@ -423,11 +407,8 @@ def _saturate(n: int, seqs, fam: UniformFamily, k: int) -> tuple[SaturationStatu
     size, r = graph.vertex_count, fam.r
     if fam.universe_size != size:
         raise ParameterError("family universe does not match the order's graph")
-    if not 1 <= r < size:
-        raise ParameterError(f"need 1 <= r < 2n, got r={r}")
-    if k * r >= (k - 1) * size:
-        raise ParameterError(
-            f"saturation analysis needs k*r < (k-1)*2n strictly, got k={k}, r={r}, n={n}")
+    require_int_in("r", r, 1, size - 1)
+    require_regime(k, r, size, True, "saturation analysis")
     for s in fam.sets:
         if graph.full_edge_count(s) != max(0, r - n):
             raise ParameterError(
@@ -518,13 +499,9 @@ def move_lemma_check(n: int, r: int, k: int) -> MoveLemmaReport:
     r = n the lemma is false) and k*r < (k-1)*2n strictly.
     """
     size = MatchingGraph(n).vertex_count
-    require_int("r", r)
+    require_int_in("r", r, n, size - 1)  # below r = n the lemma is false
     require_arity(k)
-    if not n <= r < size:
-        raise ParameterError(f"the move lemma needs n <= r < 2n, got r={r}, n={n}")
-    if k * r >= (k - 1) * size:
-        raise ParameterError(
-            f"the move lemma needs k*r < (k-1)*2n strictly, got k={k}, r={r}, n={n}")
+    require_regime(k, r, size, True, "the move lemma")
     cases = survivors = 0
     seq = identity_order(n).seq
     windows = set(_windows(seq, r))

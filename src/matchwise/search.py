@@ -63,8 +63,8 @@ import time
 from dataclasses import dataclass
 from itertools import chain, permutations, repeat
 
-from .errors import (CapacityError, IntegrityError, ParameterError, require_arity,
-                     require_int, require_mask, require_type)
+from .errors import (WIDTH, CapacityError, IntegrityError, ParameterError, require_arity,
+                     require_int_in, require_mask, require_regime, require_type)
 from .families import (MatchingGraph, UniformFamily, _orbit, is_k_wise_intersecting,
                        matching_star_bound, matching_universe)
 from .schema import SCHEMA_VERSION
@@ -146,10 +146,7 @@ def complete_symmetry(m: int) -> tuple[tuple[int, ...], ...]:
     """Generators of the symmetric group on the ground set [m]: the swap
     of 1 and 2 and the m-cycle i -> i+1, repeats dropped (one for m <= 2;
     the identity alone for m = 1)."""
-    require_int("m", m)
-    if not 1 <= m <= 64:  # too big is a capacity limit, too small malformed
-        raise (CapacityError if m > 64 else ParameterError)(
-            f"symmetric group supported for 1 <= m <= 64, got {m}")
+    require_int_in("m", m, 1, cap=WIDTH)
     cycle = tuple(range(2, m + 1)) + (1,)
     swap = (2, 1) + cycle[1:-1] if m > 1 else cycle
     return tuple(dict.fromkeys((swap, cycle)))
@@ -334,7 +331,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     # levels[j] = the distinct intersections of the j-subsets of the chosen
     # family, j <= k-2; levels 1..k-2 are added once the Helly case below
     # is ruled out, since k is then below |U|
-    levels: list[set[int]] = [{(1 << 64) - 1}]
+    levels: list[set[int]] = [{(1 << WIDTH) - 1}]
 
     def include(i: int, cand: int, depth: int) -> None:
         """Add member i, filter candidates and conflicts, recurse, undo."""
@@ -524,16 +521,12 @@ def verify_extremal_characterization(n: int, r: int, k: int,
     without being asserted.  The search reduces by M_n's symmetry
     group through its three generators.
     """
-    for name, value in (("n", n), ("r", r)):
-        require_int(name, value)
+    require_int_in("n", n, 1)
+    require_int_in("r", r, n, 2 * n - 1)
     require_arity(k)
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
-    if not n <= r <= 2 * n - 1:
-        raise ParameterError(f"need n <= r < 2n, got r={r}, n={n}")
-    if k * r > (k - 1) * 2 * n:
-        raise ParameterError(
-            f"need k*r <= (k-1)*2n, got k={k}, r={r}, n={n}")
+    require_regime(k, r, 2 * n, False, "the characterization")
     if n > 4:  # checked last: malformed input is a parameter error at any n
         raise CapacityError(f"exhaustive characterization supports n <= 4, got n={n}")
 

@@ -324,6 +324,29 @@ def test_common_index_checks_the_through_arc(monkeypatch):
         common_index(IntervalFamily(7, 3, (3, 4, 5)), 3)
 
 
+def test_bounded_outcome_is_checked_against_the_size_cap(monkeypatch):
+    # a kernel forged to leave every class with an unassigned index on
+    # three arcs of length 2 claims a bound the family breaks
+    real = matchwise.arcs._assign
+    monkeypatch.setattr(matchwise.arcs, "_assign", lambda fam, k: (*real(fam, k)[:2], 0))
+    with pytest.raises(IntegrityError, match=r"\|family\| > r"):
+        assign_indices(IntervalFamily(6, 2, (1, 3, 5)), 3)
+
+
+def test_common_index_counts_the_unassigned_indices(monkeypatch):
+    # a kernel forged to assign every index below N leaves none of the
+    # N-r = 4 free indices a star of 3 arcs on 7 positions has
+    real = matchwise.arcs._assign
+
+    def forged(fam, k):
+        rotation, starts, full = real(fam, k)
+        return rotation, starts | (1 << fam.size) - 1, full
+
+    monkeypatch.setattr(matchwise.arcs, "_assign", forged)
+    with pytest.raises(IntegrityError, match="expected exactly 4 unassigned indices, found 0"):
+        common_index(IntervalFamily(7, 3, (3, 4, 5)), 3)
+
+
 def test_common_index_exhaustive_small_circles():
     # over every size-r k-wise intersecting arc family in the strict
     # regime, extraction succeeds and both inclusions hold

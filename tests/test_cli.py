@@ -181,7 +181,7 @@ def _circle_grid():
 
 # sha256 of every grid invocation's argv, exit code and JSON output: a
 # change to any circle answer, message or exit code on the grid shows here
-CIRCLE_GRID_SHA256 = "344574b1eda8cf8341b51f91d37c209dc4809a53aef9c643e0f0575dbaf4d4d1"
+CIRCLE_GRID_SHA256 = "7fb0a65c766baf10b0dba787d486ee4cc657c56aeefcfa4ee0384500b04c7e24"
 
 
 def test_circle_json_output_is_pinned(capsys):

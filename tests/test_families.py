@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -210,6 +211,17 @@ def test_witness_scan_depth_is_bounded_by_the_universe():
     for s in witness:
         inter &= s
     assert inter == 0
+
+
+def test_failed_state_memo_keeps_a_dense_scan_fast():
+    # the 91 12-subsets of [14] are 6-wise intersecting (six 2-set
+    # complements cover at most 12 points) and share no vertex, so the scan
+    # runs to the end: about 0.06 s with the memo of failed states, 7-8 s
+    # without it, and over a minute without the suffix prune as well
+    fam = complete_uniform_family(14, 12)
+    start = time.perf_counter()
+    assert kwise_witness(fam, 6) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_huge_arity_check_allocates_no_tuple():

@@ -226,7 +226,7 @@ def test_run_fuzz_validation():
 @pytest.mark.parametrize("fuzz", [fuzz_assignment, fuzz_common_index])
 @pytest.mark.parametrize("trials", [0, -1])
 def test_fuzz_needs_positive_trials(fuzz, trials):
-    with pytest.raises(ParameterError, match="must be positive"):
+    with pytest.raises(ParameterError, match="^trials must be at least 1, got "):
         fuzz(trials)
 
 
@@ -236,7 +236,8 @@ def test_fuzz_needs_positive_trials(fuzz, trials):
 def test_fuzz_needs_int_trials_and_seed(fuzz, trials, seed):
     # a seed of None would draw from the OS and break reproducibility, and
     # random.Random seeds with abs(seed), so -1 would replay seed 1's run
-    with pytest.raises(ParameterError, match="must be an int"):
+    expected = "^seed must be at least 0, got -1$" if seed == -1 else "must be an int"
+    with pytest.raises(ParameterError, match=expected):
         fuzz(trials, seed)
 
 

@@ -204,6 +204,13 @@ def test_counting_bound_is_exact_and_matches_closed_form():
             assert counting_bound(n, r) == matching_star_bound(n, r).value
 
 
+def test_counting_bound_rejects_a_remainder(monkeypatch):
+    # 4 windows times 8 orders is 32, which 7 orders per member do not divide
+    monkeypatch.setattr(orders, "orders_containing_count", lambda n, r: 7)
+    with pytest.raises(IntegrityError, match="not an integer for n=3, r=4"):
+        counting_bound(3, 4)
+
+
 # ---------------------------------------------------------------------------
 # moves
 # ---------------------------------------------------------------------------
@@ -336,6 +343,13 @@ def test_construct_parameter_errors():
         construct_order_containing(3, 2, mask_of({1, 6}))         # r < n
 
 
+def test_construct_checks_the_member_is_a_window(monkeypatch):
+    # a window check forged to find nothing rejects every constructed order
+    monkeypatch.setattr(orders, "is_interval", lambda order, mask: None)
+    with pytest.raises(IntegrityError, match="construction bug"):
+        construct_order_containing(3, 4, mask_of({5, 1, 3, 6}))
+
+
 # ---------------------------------------------------------------------------
 # saturation
 # ---------------------------------------------------------------------------
@@ -401,7 +415,7 @@ def test_saturation_needs_the_strict_regime():
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_order_table_holds_the_enumerated_orders(n):
+def test_order_rows_equal_the_reference(n):
     # rows and orders, row for row, against the one-order-at-a-time
     # reference rather than against each other
     expected = list(reference_good_orders(n))
@@ -478,7 +492,7 @@ def test_block_check_agrees_with_the_row_check(n):
     assert 0 < raised < 450
 
 
-def test_order_table_build_peaks_below_three_tables():
+def test_sweep_keeps_no_table_of_the_orders():
     # the sweep keeps no table of the orders: it peaks below three byte
     # tables of them, and its statuses, all one outcome, are one object
     n = 7

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import matchwise
 from matchwise import search
-from matchwise import (CapacityError, IntervalFamily, MatchingGraph,
+from matchwise import (CapacityError, IntegrityError, IntervalFamily, MatchingGraph,
                        ParameterError, SearchProblem, UniformFamily,
                        apply_permutation, assign_indices, binomial,
                        common_index, complete_star_bound, complete_symmetry,
@@ -22,6 +22,7 @@ from matchwise import (CapacityError, IntervalFamily, MatchingGraph,
                        orders_containing_count, run_fuzz, saturation,
                        saturation_sweep, swap_halves, transpose,
                        verify_extremal_characterization, vertices_of)
+from matchwise.cli import main
 
 from oracles import brute_max_kwise, brute_max_kwise_masks, kept_generators
 
@@ -126,18 +127,33 @@ def test_witnesses_pass_kwise_and_have_max_size():
         assert is_k_wise_intersecting(w, 3)
 
 
+# (m, k, r) with 5 <= k <= r < m on 8-10 points where k r-sets can share
+# no point (k complements of m-r points can cover [m])
+DEEP_UNIVERSES = [(m, k, r) for m in range(8, 11) for k in range(5, 9)
+                  for r in range(k, m) if k * (m - r) >= m]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_solver_agrees_with_oracle_on_random_universes(data):
     # k up to 12 reaches the shallow filter (fewer than k-2 members chosen),
-    # the conflict-row filter, and the star answers for k > r and k >= |U|
-    m = data.draw(st.integers(min_value=3, max_value=7))
-    r = data.draw(st.integers(min_value=1, max_value=max(1, m - 1)))
+    # the conflict-row filter, and the star answers for k > r and k >= |U|;
+    # the deep draws, up to 12 members, also reach families of more than
+    # k-2 members that k members of the universe can still break, where a
+    # conflict row narrowed by fewer than all the (k-2)-wise intersections
+    # lets a wrong member in
+    if data.draw(st.booleans()):
+        m, k, r = data.draw(st.sampled_from(DEEP_UNIVERSES))
+        most = 12
+    else:
+        m = data.draw(st.integers(min_value=3, max_value=7))
+        r = data.draw(st.integers(min_value=1, max_value=max(1, m - 1)))
+        k = data.draw(st.integers(min_value=2, max_value=12))
+        most = 10
     pool = complete_uniform_family(m, r).sets
-    size = data.draw(st.integers(min_value=1, max_value=min(10, len(pool))))
+    size = data.draw(st.integers(min_value=1, max_value=min(most, len(pool))))
     chosen = data.draw(st.permutations(list(pool)))[:size]
     universe = UniformFamily.from_masks(m, r, chosen)
-    k = data.draw(st.integers(min_value=2, max_value=12))
     result = max_kwise_family(SearchProblem(universe, k))
     oracle_check(universe, k, result)
     max_size, hits = brute_max_kwise_masks(universe.sets, k)
@@ -624,6 +640,27 @@ def test_characterization_needs_every_star_as_a_witness(monkeypatch):
     assert report.all_are_stars is False
     assert not report.ok
     assert report.witness_count == 7
+
+
+def test_characterization_fails_when_the_bound_is_missed(monkeypatch):
+    # negative control: a closed form one above the search's maximum fails
+    # the report, and verify exits 1 with or without --check-stars
+    real = search.matching_star_bound
+    monkeypatch.setattr(search, "matching_star_bound", lambda n, r: dataclasses.replace(
+        real(n, r), value=real(n, r).value + 1))
+    report = verify_extremal_characterization(3, 4, 3)
+    assert report.max_size == 8 and report.bound_expected == 9
+    assert not report.bound_met and not report.ok
+    argv = ["verify", "--n", "3", "--r", "4", "--k", "3", "--all-maximum"]
+    assert main(argv) == 1
+    assert main([*argv, "--check-stars"]) == 1
+
+
+def test_collected_witnesses_are_verified(monkeypatch):
+    # negative control: a k-wise check forged to fail every witness
+    monkeypatch.setattr(search, "is_k_wise_intersecting", lambda fam, k: False)
+    with pytest.raises(IntegrityError, match="collected witness fails verification"):
+        max_kwise_family(SearchProblem(matching_universe(3, 4), 3))
 
 
 def test_characterization_m4_r4_k3():
