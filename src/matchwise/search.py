@@ -26,9 +26,11 @@ and share its counters.  Three ingredients keep the tree small:
   candidates outside each other's ``comp`` cannot both join, since
   with k-2 chosen members they are k members with an empty
   intersection, so each of a greedy set of disjoint such pairs lowers
-  the room (chosen plus candidates) by one.  A member's new (k-2)-wise
-  intersections narrow the candidates' rows, and removing it restores
-  them.
+  the room (chosen plus candidates) by one.  For k > 2 the rows are
+  one bit matrix held as an int: a member's new (k-2)-wise intersection
+  x narrows every row with one AND by x's conflict matrix, the list is
+  re-read from the result's bytes in bulk, and removing the member
+  puts back the matrix and list held before it was added.
 
 When k > r or k >= |U|, every k-wise intersecting family shares a
 vertex (Helly), so the largest stars are the maximum families and no
@@ -59,7 +61,9 @@ vary.
 
 from __future__ import annotations
 
+import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, permutations, repeat
 
@@ -182,21 +186,42 @@ class SearchResult:
 
 
 class _Meets(dict):
-    """``meets[x]`` is the bitset of members meeting the vertex set x: the
-    OR of the ``through`` rows of x's vertices, computed once per x."""
+    """``meets[x]`` is the OR of the per-vertex rows over the vertices of
+    the vertex set x, computed once per x.  With the ``through`` rows it
+    is the bitset of members meeting x; with their outer products it is
+    x's conflict matrix."""
 
-    def __init__(self, through: list[int]) -> None:
+    def __init__(self, rows: list[int]) -> None:
         super().__init__()
-        self.through = through
+        self.rows = rows
 
     def __missing__(self, x: int) -> int:
-        through, out, rest = self.through, 0, x
+        rows, out, rest = self.rows, 0, x
         while rest:
             low = rest & -rest
-            out |= through[low.bit_length() - 1]
+            out |= rows[low.bit_length() - 1]
             rest ^= low
         self[x] = out
         return out
+
+
+def _row_reader(n: int, shift: int) -> Callable[[int], list[int]]:
+    """The reader of an n-row bit matrix held as one int, row a at bits
+    a*shift..(a+1)*shift-1, shift a multiple of 64: it returns rows
+    0..n-1 as ints.  One-word rows are read with one cast of the
+    matrix's bytes where the machine is little-endian; wider rows are
+    read from precomputed byte slices."""
+    step = shift // 8  # bytes per row
+    size = n * step
+    if step == 8 and sys.byteorder == "little":
+        return lambda matrix: memoryview(matrix.to_bytes(size, "little")).cast("Q").tolist()
+    spans = [slice(lo, lo + step) for lo in range(0, size, step)]
+    from_bytes = int.from_bytes
+
+    def read(matrix: int) -> list[int]:
+        data = matrix.to_bytes(size, "little")
+        return [from_bytes(data[s], "little") for s in spans]
+    return read
 
 
 def _image(fam: tuple[int, ...], row: bytes) -> tuple[int, ...]:
@@ -289,6 +314,11 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     with none (one member, and one missing each of its vertices), and a
     subfamily of U has at most |U| members, so k-wise intersecting then
     means sharing a vertex.  The root is then the one explored node.
+
+    Memory: for k > 2 the search keeps one conflict matrix of |U|*S bits,
+    S = 64*ceil(|U|/64), per distinct (k-2)-wise intersection it meets.
+    They are keyed by vertex set, so there are at most 2^|V| of them,
+    2^(2n) over M_n; at most 256 members make one at most 8 KB.
     """
     require_type("problem", problem, SearchProblem)
     universe, k, mode = problem.universe, problem.k, problem.mode
@@ -313,13 +343,6 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     rows = ([] if problem.symmetry is None else
             _generator_rows(problem.symmetry, masks, universe.universe_size))
 
-    # comp[a] = the members b such that a, b and every (k-2)-wise
-    # intersection of the chosen family share a vertex; for k = 2 that is
-    # every member meeting a, for k > 2 the empty family leaves all.  Once
-    # k-2 members are chosen, comp[i] is member i's candidate filter
-    comp = ([meets[m] for m in masks] if k == 2 else
-            [(1 << len(masks)) - 1] * len(masks))
-
     # (size, member indices) of each family found at the best size so far
     records: list[tuple[int, tuple[int, ...]]] = []
     if collect and best == 0:
@@ -335,6 +358,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
 
     def include(i: int, cand: int, depth: int) -> None:
         """Add member i, filter candidates and conflicts, recurse, undo."""
+        nonlocal matrix, comp
         mi = masks[i]
         bind = min(km2, depth + 1)
         added: list = [None] * (bind + 1)
@@ -352,25 +376,20 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
         # narrow the conflict rows by new (k-2)-wise ones, unless the
         # child's size test prunes before it includes anything: the rows are
         # the filters of the members included below, not only a bound, so
-        # a row may stay wide only where no member is included
-        saved = None
+        # a row may stay wide only where no member is included.  Every row
+        # is narrowed, though only the candidates' rows are read below
+        undo = None
         if (0 < km2 <= bind and added[km2] and cand
                 and depth + 1 + cand.bit_count() >= max(best, depth + 1) + (not collect)):
-            saved = comp[:]
-            rest = cand
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                a = low.bit_length() - 1
-                ma, ca = masks[a], comp[a]
-                for x in added[km2]:
-                    ca &= meets[ma & x]
-                comp[a] = ca
+            undo = matrix, comp
+            for x in added[km2]:
+                matrix &= conflicts[x]
+            comp = read(matrix)
         chosen.append(i)
         extend(cand, depth + 1)
         chosen.pop()
-        if saved is not None:
-            comp[:] = saved
+        if undo is not None:
+            matrix, comp = undo
         for j in range(bind, 0, -1):
             levels[j] -= added[j]
 
@@ -412,6 +431,27 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
                         for t in through if t.bit_count() == best]
     else:
         levels += [set() for _ in range(km2)]
+        # comp[a] = the members b such that a, b and every (k-2)-wise
+        # intersection of the chosen family share a vertex; for k = 2 that
+        # is every member meeting a.  Once k-2 members are chosen, comp[i]
+        # is member i's candidate filter.  For k > 2 the rows are read from
+        # one bit matrix, row a at bits a*S..a*S+|U|-1: the empty family
+        # leaves every row full, and a (k-2)-wise intersection x narrows
+        # the matrix by ANDing conflicts[x], whose row a is
+        # meets[masks[a] & x], the OR over x's vertices v of through[v]'s
+        # outer product with itself (through[v] at row a for each a in it)
+        if km2:
+            count = len(masks)
+            shift = -(-count // WIDTH) * WIDTH  # S, whole 64-bit words per row
+            ones = sum(1 << a * shift for a in range(count))  # bit 0 of each row
+            # masks[a] at row a: its v-th column is the members through v
+            laid = sum(m << a * shift for a, m in enumerate(masks))
+            conflicts = _Meets([(laid >> v & ones) * t for v, t in enumerate(through)])
+            read = _row_reader(count, shift)
+            matrix = ones * ((1 << count) - 1)
+            comp = read(matrix)
+        else:
+            comp = [meets[m] for m in masks]
         covered: set[tuple[int, ...]] = set()
         for i0 in range(len(masks)):
             if (i0,) not in covered:  # ascending, so i0 is least in its orbit

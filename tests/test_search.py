@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import inspect
 import json
 import random
 import time
@@ -164,6 +166,13 @@ def _draw(r: int, seed: str, size: int) -> UniformFamily:
     """``size`` members of the n=5 union family, drawn as the benchmark does."""
     pool = matching_universe(5, r).sets
     return UniformFamily.from_masks(10, r, random.Random(seed).sample(pool, size))
+
+
+@functools.cache
+def _full(n: int, r: int, k: int):
+    """The all-maximum search of P^r(M_n) under M_n's generators, run once."""
+    return max_kwise_family(SearchProblem(matching_universe(n, r), k,
+                                          symmetry=matching_symmetry_generators(n)))
 
 
 def _circle(size: int, length: int) -> UniformFamily:
@@ -600,12 +609,62 @@ NODE_COUNTS = [
                  id="verify-4-6-5"),
     pytest.param(lambda: max_kwise_family(SearchProblem(_circle(14, 12), 7)), 343,
                  id="circle-14-12-k7"),
+    # whole n = 5 and n = 6 universes under M_n's generators: 64 members
+    # fill one 64-bit word per conflict row, 80 members take two
+    pytest.param(lambda: _full(6, 6, 3), 237, id="full-6-6-3"),
+    pytest.param(lambda: _full(5, 6, 3), 676, id="full-5-6-3"),
+    pytest.param(lambda: _full(5, 7, 4), 15823, id="full-5-7-4"),
+    pytest.param(lambda: _full(5, 8, 5), 52433, id="full-5-8-5"),
 ]
 
 
 @pytest.mark.parametrize("run, nodes", NODE_COUNTS)
 def test_explored_node_counts(run, nodes):
     assert run().explored_nodes == nodes
+
+
+@pytest.mark.parametrize("n, r, k, prunes", [
+    (6, 6, 3, (131, 88)), (5, 6, 3, (171, 492)),
+    (5, 7, 4, (246, 15562)), (5, 8, 5, (16041, 36374))])
+def test_full_universe_prune_counts(n, r, k, prunes):
+    result = _full(n, r, k)
+    assert (result.size_prunes, result.conflict_prunes) == prunes
+    assert result.all_are_stars and len(result.star_centers) == 2 * n
+
+
+ROW_SIZES = [1, 63, 64, 65, 128, 256]  # each side of the one-word boundary
+
+
+def _check_row_reader(row_reader, size: int) -> None:
+    """Row a of a matrix must be bits a*S..a*S+size-1, S = 64*ceil(size/64)
+    as the search lays it out, for the matrix of full rows and for seeded
+    random ones."""
+    shift = -(-size // 64) * 64
+    full = (1 << size) - 1
+    for seed in range(4):
+        rng = random.Random(f"rows:{size}:{seed}")
+        matrix = sum((rng.getrandbits(size) if seed else full) << a * shift
+                     for a in range(size))
+        want = [matrix >> a * shift & full for a in range(size)]
+        assert row_reader(size, shift)(matrix) == want, seed
+
+
+@pytest.mark.parametrize("size", ROW_SIZES)
+def test_row_reader_reads_each_row(size):
+    _check_row_reader(search._row_reader, size)
+
+
+@pytest.mark.parametrize("size", ROW_SIZES)
+def test_row_reader_check_rejects_the_other_byte_order(size):
+    # negative control: a copy that writes the matrix's bytes big-endian
+    # and reads them as before fails the check at every size
+    mutant = inspect.getsource(search._row_reader).replace(
+        'to_bytes(size, "little")', 'to_bytes(size, "big")')
+    assert mutant.count('"big"') == 2
+    scope = dict(vars(search))
+    exec(mutant, scope)
+    with pytest.raises(AssertionError):
+        _check_row_reader(scope["_row_reader"], size)
 
 
 # ---------------------------------------------------------------------------
