@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .errors import (CapacityError, IntegrityError, MatchwiseError, ParameterError,
@@ -289,15 +290,24 @@ def _emit(payload: str, out) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if not args.output:
-        return _run(args, sys.stdout)
+        try:
+            code = _run(args, sys.stdout)
+            sys.stdout.flush()
+            return code
+        except OSError as exc:
+            # point the stream at the null device, or the interpreter's
+            # last flush of what it still holds fails again as it exits
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            return _emit_error(args, ParameterError(f"cannot write standard output: {exc}"))
     try:
-        out = open(args.output, "w")
-    except OSError as exc:
+        with open(args.output, "w") as out:
+            return _run(args, out)
+    except OSError as exc:  # on opening, writing or the flush as it closes
         # the output file cannot take the diagnostic, so stdout does
         return _emit_error(
-            args, ParameterError(f"cannot open --output: {exc}"), sys.stdout)
-    with out:
-        return _run(args, out)
+            args, ParameterError(f"cannot write --output: {exc}"), sys.stdout)
 
 
 def _run(args, out) -> int:
@@ -309,10 +319,11 @@ def _run(args, out) -> int:
     return 0 if ok else 1
 
 
-def _emit_error(args, exc: MatchwiseError, out) -> int:
-    """Report a package error; return its exit code."""
+def _emit_error(args, exc: MatchwiseError, out=None) -> int:
+    """Report a package error; return its exit code.  Without ``out``
+    only standard error gets it."""
     kind, code = _ERRORS[type(exc)]
-    if args.format == "json":
+    if args.format == "json" and out is not None:
         diagnostic = _json({"schema_version": SCHEMA_VERSION,
                             "error": {"type": kind, "message": str(exc)}})
         _emit(diagnostic + "\n", out)

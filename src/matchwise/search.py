@@ -9,26 +9,24 @@ and share its counters.  Three ingredients keep the tree small:
 
 * an incremental k-wise feasibility filter: the distinct intersections
   of the j-subsets of the current family are kept as one set per j <=
-  k-2, and a candidate survives only while it meets every (k-1)-wise
-  one.  Adding a member to fewer than k-2 chosen ones filters by the
-  intersection of them all; adding one to k-2 or more filters by its
-  conflict row below, which then holds exactly the members meeting
-  every (k-1)-wise intersection the new member creates (the older ones
-  filtered the candidates already).  Adding a member records the
-  intersections it creates that were not there before, and removing it
-  takes exactly those out,
+  k-2, and a new member keeps only the candidates in its conflict row
+  below, which then holds exactly the members b such that b, the new
+  member and any k-2 or fewer chosen ones share a vertex (the subsets
+  without the new member filtered the candidates already).  Adding a
+  member records the intersections it creates that were not there
+  before, and removing it takes exactly those out,
 * best-found pruning seeded with the largest star in the universe
   (stars are k-wise intersecting for every k, so this lower bound is
   always achievable),
 * a conflict-matching upper bound: ``comp[a]`` holds the members b
-  such that a, b and every (k-2)-wise intersection of the chosen
-  family share a vertex (for k = 2, the members meeting a).  Two
+  such that a, b and every intersection of at most k-2 chosen members
+  share a vertex (with none chosen, the members meeting a).  Two
   candidates outside each other's ``comp`` cannot both join, since
-  with k-2 chosen members they are k members with an empty
-  intersection, so each of a greedy set of disjoint such pairs lowers
-  the room (chosen plus candidates) by one.  For k > 2 the rows are
-  one bit matrix held as an int: a member's new (k-2)-wise intersection
-  x narrows every row with one AND by x's conflict matrix, the list is
+  with at most k-2 chosen members they are at most k members with an
+  empty intersection, so each of a greedy set of disjoint such pairs
+  lowers the room (chosen plus candidates) by one.  The rows are one
+  bit matrix held as an int: each intersection x a new member adds
+  narrows every row with one AND by x's conflict matrix, the list is
   re-read from the result's bytes in bulk, and removing the member
   puts back the matrix and list held before it was added.
 
@@ -37,11 +35,12 @@ vertex (Helly), so the largest stars are the maximum families and no
 tree is walked.
 
 All read one incidence table built per search: ``through[v]`` is the
-bitset of member indices containing vertex v+1.  The members meeting a
-set are the OR of its vertices' rows, kept per set for the whole
-search, the largest star is the largest row, and a witness is a star
-exactly when its index bitset is a row.  A result counts the branches
-pruned by the size room alone and by the conflict matching.
+bitset of member indices containing vertex v+1.  A vertex set's
+conflict matrix is the OR of its vertices' rows' outer products, kept
+per set for the whole search, the largest star is the largest row,
+and a witness is a star exactly when its index bitset is a row.  A
+result counts the branches pruned by the size room alone and by the
+conflict matching.
 
 When vertex relabellings of the universe are supplied, the search
 uses the group they generate.  To skip redundant permutations it lists
@@ -61,6 +60,7 @@ vary.
 
 from __future__ import annotations
 
+import functools
 import sys
 import time
 from collections.abc import Callable
@@ -185,26 +185,6 @@ class SearchResult:
     conflict_prunes: int
 
 
-class _Meets(dict):
-    """``meets[x]`` is the OR of the per-vertex rows over the vertices of
-    the vertex set x, computed once per x.  With the ``through`` rows it
-    is the bitset of members meeting x; with their outer products it is
-    x's conflict matrix."""
-
-    def __init__(self, rows: list[int]) -> None:
-        super().__init__()
-        self.rows = rows
-
-    def __missing__(self, x: int) -> int:
-        rows, out, rest = self.rows, 0, x
-        while rest:
-            low = rest & -rest
-            out |= rows[low.bit_length() - 1]
-            rest ^= low
-        self[x] = out
-        return out
-
-
 def _row_reader(n: int, shift: int) -> Callable[[int], list[int]]:
     """The reader of an n-row bit matrix held as one int, row a at bits
     a*shift..(a+1)*shift-1, shift a multiple of 64: it returns rows
@@ -315,9 +295,10 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     subfamily of U has at most |U| members, so k-wise intersecting then
     means sharing a vertex.  The root is then the one explored node.
 
-    Memory: for k > 2 the search keeps one conflict matrix of |U|*S bits,
-    S = 64*ceil(|U|/64), per distinct (k-2)-wise intersection it meets.
-    They are keyed by vertex set, so there are at most 2^|V| of them,
+    Memory: a search that walks the tree keeps one conflict matrix of
+    |U|*S bits, S = 64*ceil(|U|/64), for the whole vertex set and one
+    per distinct intersection of 1..k-2 chosen members it meets.  They
+    are keyed by vertex set, so there are at most 2^|V| of them,
     2^(2n) over M_n; at most 256 members make one at most 8 KB.
     """
     require_type("problem", problem, SearchProblem)
@@ -338,7 +319,7 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     through = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
                for v in range(universe.universe_size)]
     best = max(t.bit_count() for t in through)  # the largest star
-    meets = _Meets(through)
+    full = (1 << universe.universe_size) - 1  # every vertex
 
     rows = ([] if problem.symmetry is None else
             _generator_rows(problem.symmetry, masks, universe.universe_size))
@@ -354,36 +335,32 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     # levels[j] = the distinct intersections of the j-subsets of the chosen
     # family, j <= k-2; levels 1..k-2 are added once the Helly case below
     # is ruled out, since k is then below |U|
-    levels: list[set[int]] = [{(1 << WIDTH) - 1}]
+    levels: list[set[int]] = [{full}]
 
     def include(i: int, cand: int, depth: int) -> None:
         """Add member i, filter candidates and conflicts, recurse, undo."""
         nonlocal matrix, comp
         mi = masks[i]
         bind = min(km2, depth + 1)
-        added: list = [None] * (bind + 1)
+        added: list = [()] * (bind + 1)  # k = 2 adds no intersection
         for j in range(bind, 0, -1):  # downward: levels[j-1] is still old
             added[j] = {x & mi for x in levels[j - 1]} - levels[j]
             levels[j] |= added[j]
-        if depth >= km2:
-            # i's row was narrowed by every (k-2)-wise intersection x of the
-            # chosen members, as i was a candidate at every ancestor: a
-            # member b in it meets each new (k-1)-wise one, mi & x
-            cand &= comp[i]
-        else:
-            for x in added[bind]:  # the one intersection of all chosen and i
-                cand &= meets[x]
-        # narrow the conflict rows by new (k-2)-wise ones, unless the
+        # i's row was narrowed by every intersection x of at most k-2 chosen
+        # members, as i was a candidate at every ancestor: a member b in it
+        # meets each mi & x, so i, b and any k-2 or fewer chosen share a vertex
+        cand &= comp[i]
+        # narrow the conflict rows by the intersections i adds, unless the
         # child's size test prunes before it includes anything: the rows are
         # the filters of the members included below, not only a bound, so
         # a row may stay wide only where no member is included.  Every row
         # is narrowed, though only the candidates' rows are read below
         undo = None
-        if (0 < km2 <= bind and added[km2] and cand
+        if (added[bind] and cand
                 and depth + 1 + cand.bit_count() >= max(best, depth + 1) + (not collect)):
             undo = matrix, comp
-            for x in added[km2]:
-                matrix &= conflicts[x]
+            for x in added[bind]:
+                matrix &= conflicts(x)
             comp = read(matrix)
         chosen.append(i)
         extend(cand, depth + 1)
@@ -431,27 +408,34 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
                         for t in through if t.bit_count() == best]
     else:
         levels += [set() for _ in range(km2)]
-        # comp[a] = the members b such that a, b and every (k-2)-wise
-        # intersection of the chosen family share a vertex; for k = 2 that
-        # is every member meeting a.  Once k-2 members are chosen, comp[i]
-        # is member i's candidate filter.  For k > 2 the rows are read from
-        # one bit matrix, row a at bits a*S..a*S+|U|-1: the empty family
-        # leaves every row full, and a (k-2)-wise intersection x narrows
-        # the matrix by ANDing conflicts[x], whose row a is
-        # meets[masks[a] & x], the OR over x's vertices v of through[v]'s
-        # outer product with itself (through[v] at row a for each a in it)
-        if km2:
-            count = len(masks)
-            shift = -(-count // WIDTH) * WIDTH  # S, whole 64-bit words per row
-            ones = sum(1 << a * shift for a in range(count))  # bit 0 of each row
-            # masks[a] at row a: its v-th column is the members through v
-            laid = sum(m << a * shift for a, m in enumerate(masks))
-            conflicts = _Meets([(laid >> v & ones) * t for v, t in enumerate(through)])
-            read = _row_reader(count, shift)
-            matrix = ones * ((1 << count) - 1)
-            comp = read(matrix)
-        else:
-            comp = [meets[m] for m in masks]
+        # comp[a] = the members b such that a, b and every intersection of
+        # at most k-2 chosen members share a vertex: with none chosen, the
+        # members meeting a.  comp[i] is member i's candidate filter.  The
+        # rows are read from one bit matrix, row a at bits a*S..a*S+|U|-1:
+        # conflicts(x) is vertex set x's matrix, whose row a is the members
+        # meeting masks[a] & x, the OR over x's vertices v of outer[v],
+        # through[v]'s outer product with itself (through[v] at row a for
+        # each a in it).  The search starts from conflicts(full) and ANDs
+        # in conflicts(x) for each intersection x a new member adds
+        count = len(masks)
+        shift = -(-count // WIDTH) * WIDTH  # S, whole 64-bit words per row
+        ones = sum(1 << a * shift for a in range(count))  # bit 0 of each row
+        # masks[a] at row a: its v-th column is the members through v
+        laid = sum(m << a * shift for a, m in enumerate(masks))
+        outer = [(laid >> v & ones) * t for v, t in enumerate(through)]
+
+        @functools.cache  # one matrix per vertex set for the whole search
+        def conflicts(x: int) -> int:
+            out = 0
+            while x:
+                low = x & -x
+                out |= outer[low.bit_length() - 1]
+                x ^= low
+            return out
+
+        read = _row_reader(count, shift)
+        matrix = conflicts(full)
+        comp = read(matrix)
         covered: set[tuple[int, ...]] = set()
         for i0 in range(len(masks)):
             if (i0,) not in covered:  # ascending, so i0 is least in its orbit

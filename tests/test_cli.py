@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -354,6 +355,47 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     obj = json.loads(target.read_text())
     assert obj["n"] == 2
+
+
+def _full_stream(method: str, fd: int = -1) -> io.StringIO:
+    """A stream on a full device whose ``method`` raises ENOSPC: a write at
+    once, or the flush or close that passes on buffered text.  ``fd`` is
+    the descriptor it reports."""
+    def fail(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    return type("Full", (io.StringIO,), {method: fail, "fileno": lambda self: fd})()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_failed_stdout_write_exits_2(tmp_path, capsys, monkeypatch, method, fmt):
+    with open(tmp_path / "stdout", "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", _full_stream(method, sink.fileno()))
+        assert main(["bounds", "--n", "2", "--format", fmt]) == 2
+        # the descriptor now leads to the null device, so the interpreter's
+        # last flush of the text the stream still holds cannot fail again
+        os.write(sink.fileno(), b"lost")
+    assert (tmp_path / "stdout").read_bytes() == b""
+    err = capsys.readouterr().err
+    assert err.startswith("matchwise: parameter error: cannot write standard output: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["write", "close"])
+def test_failed_output_write_exits_2(capsys, monkeypatch, method):
+    # the diagnostic is the one an --output file that cannot be opened gets
+    monkeypatch.setattr(cli, "open", lambda *args: _full_stream(method), raising=False)
+    code, out = run_cli(capsys, "bounds", "--n", "2", "--format", "json",
+                        "--output", "out.json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "parameter"
+    assert error["message"].startswith("cannot write --output: ")
+    assert main(["bounds", "--n", "2", "--output", "out.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("matchwise: parameter error: cannot write --output: ")
+    assert captured.err.count("\n") == 1
 
 
 VERIFY_COLUMNS = ("schema_version,n,r,k,mode,max_size,bound_expected,bound_met,"

@@ -138,8 +138,8 @@ DEEP_UNIVERSES = [(m, k, r) for m in range(8, 11) for k in range(5, 9)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_solver_agrees_with_oracle_on_random_universes(data):
-    # k up to 12 reaches the shallow filter (fewer than k-2 members chosen),
-    # the conflict-row filter, and the star answers for k > r and k >= |U|;
+    # k up to 12 reaches members added to fewer than k-2 chosen ones and to
+    # k-2 or more, and the star answers for k > r and k >= |U|;
     # the deep draws, up to 12 members, also reach families of more than
     # k-2 members that k members of the universe can still break, where a
     # conflict row narrowed by fewer than all the (k-2)-wise intersections
@@ -603,8 +603,7 @@ NODE_COUNTS = [
         SearchProblem(_draw(6, "panel:6:0", 34), 3)), 138, id="panel-r6-11212"),
     pytest.param(lambda: max_kwise_family(
         SearchProblem(_draw(7, "panel:7:0", 34), 4)), 370, id="panel-r7-4445"),
-    # large k, where most members join with k-2 or more chosen and filter
-    # their candidates by their conflict rows
+    # large k, where most members join with k-2 or more chosen ones
     pytest.param(lambda: verify_extremal_characterization(4, 6, 5), 240,
                  id="verify-4-6-5"),
     pytest.param(lambda: max_kwise_family(SearchProblem(_circle(14, 12), 7)), 343,
@@ -615,6 +614,20 @@ NODE_COUNTS = [
     pytest.param(lambda: _full(5, 6, 3), 676, id="full-5-6-3"),
     pytest.param(lambda: _full(5, 7, 4), 15823, id="full-5-7-4"),
     pytest.param(lambda: _full(5, 8, 5), 52433, id="full-5-8-5"),
+    # k >= 4: with fewer than k-2 members chosen the conflict matching
+    # already counts the pairs sharing no vertex with an intersection of
+    # the chosen ones; a search whose rows stay full until k-2 are chosen explores
+    # the node counts in the comments
+    pytest.param(lambda: max_kwise_family(SearchProblem(
+        matching_universe(5, 5), 4, "max_size_only",
+        matching_symmetry_generators(5))), 2, id="full-5-5-4-max"),  # 17
+    pytest.param(lambda: max_kwise_family(SearchProblem(
+        matching_universe(5, 5), 5, "max_size_only",
+        matching_symmetry_generators(5))), 2, id="full-5-5-5-max"),  # 97
+    pytest.param(lambda: verify_extremal_characterization(4, 5, 5), 125,
+                 id="verify-4-5-5"),  # 209
+    pytest.param(lambda: verify_extremal_characterization(4, 6, 6), 238,
+                 id="verify-4-6-6"),  # 289
 ]
 
 
