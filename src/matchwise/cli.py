@@ -289,46 +289,51 @@ def _emit(payload: str, out) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if not args.output:
-        try:
-            code = _run(args, sys.stdout)
+    code = 0
+    try:
+        if args.output:
+            with open(args.output, "w") as out:
+                payload, code = _run(args)
+                _emit(payload, out)
+        else:
+            payload, code = _run(args)
+            _emit(payload, sys.stdout)
             sys.stdout.flush()
-            return code
-        except OSError as exc:
+        return code
+    except OSError as exc:  # on opening, writing or the flush as it closes
+        if args.output:
+            # the output file cannot take the diagnostic, so stdout does
+            diagnostic, failed = _error(args, ParameterError(f"cannot write --output: {exc}"))
+            _emit(diagnostic, sys.stdout)
+        else:
             # point the stream at the null device, or the interpreter's
             # last flush of what it still holds fails again as it exits
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-            return _emit_error(args, ParameterError(f"cannot write standard output: {exc}"))
-    try:
-        with open(args.output, "w") as out:
-            return _run(args, out)
-    except OSError as exc:  # on opening, writing or the flush as it closes
-        # the output file cannot take the diagnostic, so stdout does
-        return _emit_error(
-            args, ParameterError(f"cannot write --output: {exc}"), sys.stdout)
+            _, failed = _error(args, ParameterError(f"cannot write standard output: {exc}"))
+        return code if code > 1 else failed  # a package error's code wins
 
 
-def _run(args, out) -> int:
+def _run(args) -> tuple[str, int]:
+    """The command's output and exit code; a package error's output is
+    its diagnostic (see :func:`_error`)."""
     try:
         payload, ok = args.func(args)
     except MatchwiseError as exc:
-        return _emit_error(args, exc, out)
-    _emit(payload, out)
-    return 0 if ok else 1
+        return _error(args, exc)
+    return payload, 0 if ok else 1
 
 
-def _emit_error(args, exc: MatchwiseError, out=None) -> int:
-    """Report a package error; return its exit code.  Without ``out``
-    only standard error gets it."""
+def _error(args, exc: MatchwiseError) -> tuple[str, int]:
+    """Report a package error on standard error; return its JSON
+    diagnostic (empty unless the format is json) and its exit code."""
     kind, code = _ERRORS[type(exc)]
-    if args.format == "json" and out is not None:
-        diagnostic = _json({"schema_version": SCHEMA_VERSION,
-                            "error": {"type": kind, "message": str(exc)}})
-        _emit(diagnostic + "\n", out)
     print(f"matchwise: {kind} error: {exc}", file=sys.stderr)
-    return code
+    if args.format != "json":
+        return "", code
+    return _json({"schema_version": SCHEMA_VERSION,
+                  "error": {"type": kind, "message": str(exc)}}) + "\n", code
 
 
 if __name__ == "__main__":

@@ -270,23 +270,28 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     running intersection, so violations terminate early; a member that
     does not shrink it is skipped, since an inclusion-minimal witness
     shrinks it at every step.  So a witness has at most min(k, |fam|,
-    r+1) members, and the scan nests no deeper.  When the AND of all
-    members is nonzero (they share a vertex, as in every star) the
-    answer is None at once, before the scan is set up: that is the case
-    the scan would answer first.
+    r+1) members, and the scan nests no deeper.  The last member is
+    found by a plain scan for the first one disjoint from the running
+    intersection.  When the AND of all members is nonzero (they share a
+    vertex, as in every star) the answer is None at once, before the
+    scan is set up: that is the case the scan would answer first.
     """
     require_type("fam", fam, UniformFamily)
     require_arity(k)
-    members = fam.sets
-    full = (1 << fam.universe_size) - 1
-    shared = full
+    return _kwise_witness(fam.sets, k)
+
+
+def _kwise_witness(members, k: int) -> tuple[int, ...] | None:
+    """:func:`kwise_witness` on a sequence of masks, scanned in the order
+    given; callers check the arguments."""
+    shared = -1                     # every bit set
     for m in members:
         shared &= m
     if shared:                      # every member holds a common vertex
         return None
     # common[i] is the AND of members[i:]: while inter & common[start] is
     # nonzero, no choice from members[start:] can empty the intersection
-    common = [full] * (len(members) + 1)
+    common = [-1] * (len(members) + 1)
     for i in range(len(members) - 1, -1, -1):
         common[i] = common[i + 1] & members[i]
     chosen: list[int] = []
@@ -297,22 +302,28 @@ def kwise_witness(fam: UniformFamily, k: int) -> tuple[int, ...] | None:
     failed: set[tuple[int, int]] = set()
 
     def descend(start: int, inter: int, left: int) -> tuple[int, ...] | None:
-        if inter == 0:
-            return tuple(chosen)
-        if left == 0 or inter & common[start] or (inter, left) in failed:
+        if inter & common[start] or (inter, left) in failed:
             return None
-        for i in range(start, len(members)):
-            if inter & members[i] == inter:
-                continue
-            chosen.append(members[i])
-            found = descend(i + 1, inter & members[i], left - 1)
-            chosen.pop()
-            if found is not None:
-                return found
+        if left == 1:               # the first member disjoint from inter
+            for i in range(start, len(members)):
+                if not inter & members[i]:
+                    return (*chosen, members[i])
+        else:
+            for i in range(start, len(members)):
+                meet = inter & members[i]
+                if meet == inter:
+                    continue
+                if not meet:
+                    return (*chosen, members[i])
+                chosen.append(members[i])
+                found = descend(i + 1, meet, left - 1)
+                chosen.pop()
+                if found is not None:
+                    return found
         failed.add((inter, left))
         return None
 
-    return descend(0, full, k)
+    return descend(0, -1, k)
 
 
 def is_k_wise_intersecting(fam: UniformFamily, k: int) -> bool:

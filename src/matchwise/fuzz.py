@@ -16,7 +16,8 @@ Two targets:
   conforming instances are plentiful.  Each trial builds and validates
   its arc family once, and the k-wise oracle and the witness check
   build their arc masks with one helper, ``arcs._arc_masks`` (the r-bit
-  block rotated to each start).
+  block rotated to each start); the oracle runs the k-wise scan of
+  ``families`` on those masks directly.
 
 * "common-index": full through-one-position families (always
   conforming) must yield exactly that position; a perturbed variant
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from .arcs import (IntervalFamily, _arc_masks, _starts_through, assign_indices,
                    common_index)
 from .errors import IntegrityError, ParameterError, require_int_in
-from .families import UniformFamily, is_k_wise_intersecting
+from .families import _kwise_witness
 from .schema import SCHEMA_VERSION
 
 @dataclass(frozen=True)
@@ -65,12 +66,6 @@ class FuzzSummary:
             "violation_count": len(self.violations),
             "violations": list(self.violations),
         }
-
-
-def _materialize(fam: IntervalFamily) -> UniformFamily:
-    """The arcs of ``fam`` as a family of r-sets, for the k-wise oracle."""
-    masks = _arc_masks(fam.size, fam.length, fam.starts)
-    return UniformFamily(fam.size, fam.length, tuple(sorted(masks)))
 
 
 def _instance(trial: int, fam: IntervalFamily, k: int, note: str) -> dict:
@@ -107,7 +102,7 @@ def fuzz_assignment(trials: int, seed: int = 0) -> FuzzSummary:
             starts = rng.sample(range(1, size + 1), m)
         starts.sort()               # sampled starts never repeat
         fam = IntervalFamily(size, length, tuple(starts))
-        is_conforming = is_k_wise_intersecting(_materialize(fam), k)
+        is_conforming = _kwise_witness(_arc_masks(size, length, starts), k) is None
 
         try:
             report = assign_indices(fam, k)

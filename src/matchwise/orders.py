@@ -355,7 +355,9 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
     its r-n full edges, then its 2n-r single vertices, both in ascending
     label order; positions n+1..2n take their partners, so positions
     1..r are the member.  Rotating vertex 2n to position 2n normalizes
-    the order.  The postcondition is checked with :func:`is_interval`.
+    the order.  The postcondition is checked on the one window the
+    member was placed in: the r positions from where that rotation took
+    position 1.
     """
     graph = MatchingGraph(n)
     size, _, partner, _ = _layout(n)
@@ -374,8 +376,11 @@ def construct_order_containing(n: int, r: int, member_mask: int) -> GoodCyclicOr
     singles = [v for v in range(1, size + 1) if member_mask >> (v - 1) & 1
                and not member_mask >> (partner[v] - 1) & 1]
     half = full + singles
-    order = normalize_rotation(n, half + [partner[v] for v in half])
-    if is_interval(order, member_mask) is None:
+    seq = half + [partner[v] for v in half]
+    order = normalize_rotation(n, seq)
+    # normalizing rotates seq[0] to order.seq[size - 1 - seq.index(size)]
+    start = size - 1 - seq.index(size)
+    if sum(1 << v - 1 for v in (order.seq * 2)[start:start + r]) != member_mask:
         raise IntegrityError("constructed order does not contain the member as "
                              "a window; construction bug")
     return order

@@ -381,6 +381,19 @@ def test_failed_stdout_write_exits_2(tmp_path, capsys, monkeypatch, method, fmt)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["write", "flush"])  # unbuffered, buffered
+def test_failed_diagnostic_write_keeps_the_package_error(tmp_path, capsys, monkeypatch,
+                                                         method):
+    # the capacity error is reported first and its exit code wins
+    with open(tmp_path / "stdout", "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", _full_stream(method, sink.fileno()))
+        assert main(["verify", "--n", "5", "--r", "5", "--k", "3", "--format", "json"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("matchwise: capacity error: ")
+    assert err[1].startswith("matchwise: parameter error: cannot write standard output: ")
+
+
 @pytest.mark.parametrize("method", ["write", "close"])
 def test_failed_output_write_exits_2(capsys, monkeypatch, method):
     # the diagnostic is the one an --output file that cannot be opened gets
@@ -396,6 +409,8 @@ def test_failed_output_write_exits_2(capsys, monkeypatch, method):
     assert captured.out == ""
     assert captured.err.startswith("matchwise: parameter error: cannot write --output: ")
     assert captured.err.count("\n") == 1
+    # a package error's exit code wins over the failed write's
+    assert main(["verify", "--n", "5", "--r", "5", "--k", "3", "--output", "out.json"]) == 3
 
 
 VERIFY_COLUMNS = ("schema_version,n,r,k,mode,max_size,bound_expected,bound_met,"

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import random
 import time
 import tracemalloc
@@ -255,6 +257,20 @@ def test_kwise_witness_is_the_first_in_scan_order():
         fam = UniformFamily.from_masks(
             m, r, rng.sample(pool, min(len(pool), rng.randint(0, 24))))
         k = rng.randint(2, 6)
+        assert kwise_witness(fam, k) == first_kwise_witness(fam.sets, k), (fam, k)
+    # draws where the last member decides: 8 or more members with no
+    # common vertex, so the scan goes on to choose a last member
+    decided = 0
+    while decided < 300:
+        m = rng.randint(6, 12)
+        r = rng.randint(2, m - 2)
+        pool = complete_uniform_family(m, r).sets
+        members = rng.sample(pool, rng.randint(8, min(20, len(pool))))
+        fam = UniformFamily.from_masks(m, r, members)
+        if functools.reduce(operator.and_, fam.sets):
+            continue
+        decided += 1
+        k = rng.randint(2, 5)
         assert kwise_witness(fam, k) == first_kwise_witness(fam.sets, k), (fam, k)
 
 

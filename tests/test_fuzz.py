@@ -1,8 +1,10 @@
 import dataclasses
+import random
 
 import pytest
 
 import matchwise.fuzz
+from matchwise.arcs import _arc_masks
 from matchwise import (IntegrityError, IntervalFamily, ParameterError, UniformFamily,
                        fuzz_assignment, fuzz_common_index, is_k_wise_intersecting,
                        run_fuzz)
@@ -17,12 +19,18 @@ def test_assignment_fuzz_finds_no_violations():
     assert summary.bounded + summary.covering == 2000
 
 
-def test_materialized_arcs_are_their_masks():
-    for size in range(2, 25):
-        for r in range(1, size):
-            fam = IntervalFamily(size, r, tuple(range(1, size + 1)))
-            assert matchwise.fuzz._materialize(fam) == UniformFamily.from_masks(
-                size, r, (fam.mask(s) for s in fam.starts))
+def test_arc_mask_oracle_agrees_with_the_family_check():
+    # the oracle scans the arc masks in start order, not as a sorted family
+    rng = random.Random(0)
+    for _ in range(2000):
+        size = rng.randint(3, 24)
+        r = rng.randint(1, size - 1)
+        starts = sorted(rng.sample(range(1, size + 1), rng.randint(1, min(size, 9))))
+        fam = IntervalFamily(size, r, tuple(starts))
+        arcs = UniformFamily.from_masks(size, r, map(fam.mask, starts))
+        for k in range(2, 6):
+            assert (matchwise.fuzz._kwise_witness(_arc_masks(size, r, starts), k)
+                    is None) == is_k_wise_intersecting(arcs, k), (fam, k)
 
 
 def _outside_rotation(fam, members):
@@ -117,7 +125,7 @@ def test_assignment_fuzz_rejects_a_bounded_outcome_on_more_than_r_arcs(monkeypat
         return dataclasses.replace(real(fam, k), outcome="bounded", witness_members=None)
 
     monkeypatch.setattr(matchwise.fuzz, "assign_indices", assign_indices)
-    monkeypatch.setattr(matchwise.fuzz, "is_k_wise_intersecting", lambda fam, k: True)
+    monkeypatch.setattr(matchwise.fuzz, "_kwise_witness", lambda masks, k: None)
     summary = fuzz_assignment(trials=300, seed=0)
     assert len(over) > 10
     assert [v["starts"] for v in summary.violations] == [list(s) for s in over]

@@ -2,6 +2,7 @@ import json
 import operator
 import random
 import tracemalloc
+import types
 
 import pytest
 
@@ -344,10 +345,20 @@ def test_construct_parameter_errors():
 
 
 def test_construct_checks_the_member_is_a_window(monkeypatch):
-    # a window check forged to find nothing rejects every constructed order
-    monkeypatch.setattr(orders, "is_interval", lambda order, mask: None)
-    with pytest.raises(IntegrityError, match="construction bug"):
-        construct_order_containing(3, 4, mask_of({5, 1, 3, 6}))
+    # an order that misplaces the member is rejected: one rotated a place
+    # too far, and a good order holding the member as another window
+    def too_far(n, seq):
+        after = seq.index(2 * n) + 2
+        return types.SimpleNamespace(n=n, seq=tuple(seq[after:] + seq[:after]))
+
+    member = mask_of({5, 1, 3, 6})
+    for forged in (too_far, lambda n, seq: normalize_rotation(n, seq[::-1])):
+        monkeypatch.setattr(orders, "normalize_rotation", forged)
+        with pytest.raises(IntegrityError, match="construction bug"):
+            construct_order_containing(3, 4, member)
+    # the member is laid out as 3, 1, 5, 6, 4, 2; reversed, it is still a
+    # window, so only the check of its own window sees the misplacement
+    assert is_interval(normalize_rotation(3, [2, 4, 6, 5, 1, 3]), member) == 6
 
 
 # ---------------------------------------------------------------------------
