@@ -11,6 +11,7 @@ from the same payload and is human-oriented only.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -289,21 +290,18 @@ def _emit(payload: str, out) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    where = "--output" if args.output else "standard output"
     code = 0
     try:
-        if args.output:
-            with open(args.output, "w") as out:
-                payload, code = _run(args)
-                _emit(payload, out)
-        else:
+        with (open(args.output, "w") if args.output
+              else contextlib.nullcontext(sys.stdout)) as out:
             payload, code = _run(args)
-            _emit(payload, sys.stdout)
-            sys.stdout.flush()
+            _emit(payload, out)
+            out.flush()
         return code
-    except OSError as exc:  # on opening, writing or the flush as it closes
-        if args.output:
-            # the output file cannot take the diagnostic, so stdout does
-            diagnostic, failed = _error(args, ParameterError(f"cannot write --output: {exc}"))
+    except OSError as exc:  # on opening, writing, flushing or closing
+        diagnostic, failed = _error(args, ParameterError(f"cannot write {where}: {exc}"))
+        if args.output:  # the output file cannot take the diagnostic, so stdout does
             _emit(diagnostic, sys.stdout)
         else:
             # point the stream at the null device, or the interpreter's
@@ -311,7 +309,6 @@ def main(argv: list[str] | None = None) -> int:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-            _, failed = _error(args, ParameterError(f"cannot write standard output: {exc}"))
         return code if code > 1 else failed  # a package error's code wins
 
 

@@ -87,11 +87,18 @@ class MatchingGraph:
         require_int_in("v", v, 1, 2 * self.n)
         return v + self.n if v <= self.n else v - self.n
 
+    def _ends(self, mask: int) -> tuple[int, int]:
+        """The edges whose low endpoint ``mask`` holds and those whose high
+        endpoint it holds, edge i at bit i-1; a vertex beyond 2n raises
+        ``ParameterError``."""
+        require_mask(mask)
+        if mask >> 2 * self.n:
+            raise ParameterError(f"set contains vertices beyond {2 * self.n}")
+        return mask & ((1 << self.n) - 1), mask >> self.n
+
     def full_edge_count(self, mask: int) -> int:
         """Number of edges with both endpoints in ``mask``."""
-        require_mask(mask)
-        lo = mask & ((1 << self.n) - 1)
-        hi = mask >> self.n
+        lo, hi = self._ends(mask)
         return (lo & hi).bit_count()
 
     def is_independent(self, mask: int) -> bool:
@@ -100,9 +107,7 @@ class MatchingGraph:
     def covers_all_edges(self, mask: int) -> bool:
         """True when ``mask`` meets every edge, i.e. contains a maximum
         independent set."""
-        require_mask(mask)
-        lo = mask & ((1 << self.n) - 1)
-        hi = mask >> self.n
+        lo, hi = self._ends(mask)
         return (lo | hi) == (1 << self.n) - 1
 
 

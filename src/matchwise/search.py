@@ -3,9 +3,9 @@
 The solver walks an include/exclude tree over the universe in
 ascending bitmask order (include explored first), so the first member
 of any family is its minimum and every subfamily is visited at most
-once.  Two closures of :func:`max_kwise_family` walk it, ``include``
-(add a member, recurse, undo) and ``extend`` (record, prune, branch),
-and share its counters.  Three ingredients keep the tree small:
+once.  One recursive closure of :func:`max_kwise_family` walks it:
+``include`` adds a member, records the node, prunes or branches below
+it and undoes the addition.  Three ingredients keep the tree small:
 
 * an incremental k-wise feasibility filter: the distinct intersections
   of the j-subsets of the current family are kept as one set per j <=
@@ -326,8 +326,6 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
 
     # (size, member indices) of each family found at the best size so far
     records: list[tuple[int, tuple[int, ...]]] = []
-    if collect and best == 0:
-        records.append((0, ()))
     nodes = 1  # the empty-family root
     size_prunes = conflict_prunes = 0
     km2 = k - 2
@@ -338,8 +336,9 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
     levels: list[set[int]] = [{full}]
 
     def include(i: int, cand: int, depth: int) -> None:
-        """Add member i, filter candidates and conflicts, recurse, undo."""
-        nonlocal matrix, comp
+        """Add member i to the ``depth`` chosen ones, filter the candidates
+        and the conflict rows, record, prune, branch below it and undo."""
+        nonlocal nodes, best, size_prunes, conflict_prunes, matrix, comp
         mi = masks[i]
         bind = min(km2, depth + 1)
         added: list = [()] * (bind + 1)  # k = 2 adds no intersection
@@ -350,41 +349,32 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
         # members, as i was a candidate at every ancestor: a member b in it
         # meets each mi & x, so i, b and any k-2 or fewer chosen share a vertex
         cand &= comp[i]
-        # narrow the conflict rows by the intersections i adds, unless the
-        # child's size test prunes before it includes anything: the rows are
-        # the filters of the members included below, not only a bound, so
-        # a row may stay wide only where no member is included.  Every row
-        # is narrowed, though only the candidates' rows are read below
-        undo = None
-        if (added[bind] and cand
-                and depth + 1 + cand.bit_count() >= max(best, depth + 1) + (not collect)):
-            undo = matrix, comp
-            for x in added[bind]:
-                matrix &= conflicts(x)
-            comp = read(matrix)
         chosen.append(i)
-        extend(cand, depth + 1)
-        chosen.pop()
-        if undo is not None:
-            matrix, comp = undo
-        for j in range(bind, 0, -1):
-            levels[j] -= added[j]
-
-    def extend(cand: int, depth: int) -> None:
-        nonlocal nodes, best, size_prunes, conflict_prunes
+        depth += 1
         nodes += 1
         if depth >= best:
             best = depth
             if collect:
                 records.append((depth, tuple(chosen)))
-        # without collecting only a family larger than best matters, so
-        # branches that can at most tie it are pruned too
-        need = best + (not collect)  # the room a useful branch must have
+        undo = None
         while cand:
+            # without collecting only a family larger than best matters, so
+            # branches that can at most tie it are pruned too
+            need = best + (not collect)  # the room a useful branch must have
             room = depth + cand.bit_count()
             if room < need:
                 size_prunes += 1
-                return
+                break
+            # narrow the conflict rows by the intersections i adds once the
+            # first size test has passed: the rows are the filters of the
+            # members included below, not only a bound, so a row may stay
+            # wide only where no member is included.  Every row is narrowed,
+            # though only the candidates' rows are read below
+            if undo is None and added[bind]:
+                undo = matrix, comp
+                for x in added[bind]:
+                    matrix &= conflicts(x)
+                comp = read(matrix)
             # at most one member of each pair in conflict can join
             rest = cand
             while rest and room >= need:
@@ -396,14 +386,20 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
                     room -= 1
             if room < need:
                 conflict_prunes += 1
-                return
+                break
             low = cand & -cand
             cand ^= low
             include(low.bit_length() - 1, cand, depth)
-            need = best + (not collect)
+        chosen.pop()
+        if undo is not None:
+            matrix, comp = undo
+        for j in range(bind, 0, -1):
+            levels[j] -= added[j]
 
-    if k > universe.r or k >= len(masks):  # Helly: the maxima are the largest stars
-        if collect and best:
+    # Helly: the maxima are the largest stars (over an empty universe, the
+    # empty family)
+    if k > universe.r or k >= len(masks):
+        if collect:
             records += [(best, tuple(i for i in range(len(masks)) if t >> i & 1))
                         for t in through if t.bit_count() == best]
     else:
@@ -436,10 +432,10 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
         read = _row_reader(count, shift)
         matrix = conflicts(full)
         comp = read(matrix)
-        covered: set[tuple[int, ...]] = set()
+        covered: set[int] = set()
         for i0 in range(len(masks)):
-            if (i0,) not in covered:  # ascending, so i0 is least in its orbit
-                covered |= _orbit((i0,), rows, _image)
+            if i0 not in covered:  # ascending, so i0 is least in its orbit
+                covered |= _orbit(i0, rows, lambda i, row: row[i])
                 include(i0, (1 << len(masks)) - (2 << i0), 0)  # the members above i0
 
     witnesses: tuple[UniformFamily, ...] = ()

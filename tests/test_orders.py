@@ -342,6 +342,8 @@ def test_construct_parameter_errors():
         construct_order_containing(3, 4, mask_of({1, 3, 4, 6}))   # misses edge 2
     with pytest.raises(ParameterError):
         construct_order_containing(3, 2, mask_of({1, 6}))         # r < n
+    with pytest.raises(ParameterError, match="beyond 4"):
+        construct_order_containing(2, 3, mask_of({1, 4, 5}))      # M_2 has no 5
 
 
 def test_construct_checks_the_member_is_a_window(monkeypatch):

@@ -462,6 +462,10 @@ MALFORMED_MASK_CALLS = [
     pytest.param(lambda: MatchingGraph(3).full_edge_count([1]), id="full-edges-list"),
     pytest.param(lambda: MatchingGraph(3).full_edge_count(-1), id="full-edges-negative"),
     pytest.param(lambda: MatchingGraph(3).is_independent(-1), id="independent-negative"),
+    # M_2 has no vertex 5, 6 or 11
+    pytest.param(lambda: MatchingGraph(2).full_edge_count(0b110101), id="full-edges-beyond"),
+    pytest.param(lambda: MatchingGraph(2).is_independent(1 << 10), id="independent-beyond"),
+    pytest.param(lambda: MatchingGraph(2).covers_all_edges(0b11111), id="covers-beyond"),
     pytest.param(lambda: MatchingGraph(3).covers_all_edges(None), id="covers-none"),
     pytest.param(lambda: MatchingGraph(3).covers_all_edges(2.0), id="covers-float"),
     pytest.param(lambda: MatchingGraph(3).covers_all_edges("x"), id="covers-str"),
@@ -638,7 +642,9 @@ def test_explored_node_counts(run, nodes):
 
 @pytest.mark.parametrize("n, r, k, prunes", [
     (6, 6, 3, (131, 88)), (5, 6, 3, (171, 492)),
-    (5, 7, 4, (246, 15562)), (5, 8, 5, (16041, 36374))])
+    (5, 7, 4, (246, 15562)), (5, 8, 5, (16041, 36374)),
+    # k = 2 adds no intersection, so its rows are never narrowed
+    (5, 4, 2, (83, 2275)), (4, 3, 2, (27, 41))])
 def test_full_universe_prune_counts(n, r, k, prunes):
     result = _full(n, r, k)
     assert (result.size_prunes, result.conflict_prunes) == prunes
