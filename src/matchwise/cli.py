@@ -19,9 +19,9 @@ import sys
 
 from .errors import (CapacityError, IntegrityError, MatchwiseError, ParameterError,
                      require_int_in)
-from .families import enumerate_family, matching_star_bound, matching_universe
+from .families import MatchingGraph, enumerate_family, matching_star_bound, matching_universe
 from . import fuzz
-from .orders import (connectivity_check, construct_order_containing,
+from .orders import (_require_enumerable, connectivity_check, construct_order_containing,
                      enumerated_order_count, good_order_count, saturation_sweep)
 from .schema import SCHEMA_VERSION
 from .search import verify_extremal_characterization
@@ -179,6 +179,10 @@ def _cmd_circle(args) -> tuple[str, bool]:
                "ok": rep.connected}
     elif args.action == "saturate":
         k = args.k if args.k is not None else 2 * n + 1
+        # the sweep's checks of r (malformed beats too big) and of its
+        # order cap on n, before the star is built
+        require_int_in("r", r, 1, MatchingGraph(n).vertex_count - 1)
+        _require_enumerable(n)
         star = matching_universe(n, r).star(2 * n)
         statuses = saturation_sweep(n, star, k)
         total = len(statuses)

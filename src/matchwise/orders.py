@@ -7,17 +7,20 @@ vertex n to position n; there are 2^(n-1) * (n-1)! such normalized
 orders, each fixed by its positions 1..n-1.  One enumerator lays them
 out in blocks, one per edge permutation, each block of byte rows checked
 at once by the rule the order type applies; the count sums the block
-lengths, ``saturation_sweep`` and the order objects read the rows as
-they are made, and nothing keeps them.  The moves act on seqs as
-position maps, whose orbit from the identity ``families._orbit`` walks,
-as the symmetry search does.  Every length-r window of a good order
-(all 2n are listed in one rolling pass) is a member of the union
-family: an independent set when r <= n, a covering set when r >= n.
+lengths, ``saturation_sweep`` reads each block whole, one bit-lane per
+row, the order objects read its rows, each block as it is made, and
+nothing keeps them.  The moves act on seqs as position maps, whose
+orbit from the identity ``families._orbit`` walks, as the symmetry
+search does.  Every length-r window of a good order (all 2n are listed
+in one rolling pass) is a member of the union family: an independent
+set when r <= n, a covering set when r >= n.
 
 Saturation ties the two layers together: an order is saturated by a
 family when the maximum possible number (r) of family members appear
 as windows, and the common-index machinery from :mod:`matchwise.arcs`
-then pins all of them to one shared position.
+then pins all of them to one shared position.  One kernel reads the
+windows of a whole block of orders at once; a single order is a block
+of one row.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import compress, permutations
 
 from .arcs import IntervalFamily, common_index
 from .errors import (IntegrityError, MatchwiseError, ParameterError, require_arity,
@@ -398,15 +402,37 @@ class SaturationStatus:
     common_vertex: int | None = None
 
 
-def _saturate(n: int, seqs, fam: UniformFamily, k: int) -> tuple[SaturationStatus, ...]:
-    """The saturation status of each of ``seqs`` (tuples or bytes rows)
-    under ``fam``, in order.
+@functools.cache
+def _lanes(width: int) -> tuple[str, tuple[bytes, ...]]:
+    """The ``memoryview`` format of a lane of ``width`` bytes (1, 2, 4 or
+    8) and one byte translation table per byte of such a lane, built once
+    per width: table j maps vertex v to byte j of the lane holding
+    1 << (v-1) in the host's byte order, so a lane read back through
+    ``memoryview.cast`` is v's vertex bit; every other byte maps to 0."""
+    lanes = [bytes(width)] + [(1 << b).to_bytes(width, sys.byteorder)
+                              for b in range(8 * width)]
+    tables = tuple(bytes(lane[j] for lane in lanes).ljust(256, b"\0") for j in range(width))
+    return {1: "B", 2: "H", 4: "I", 8: "Q"}[width], tables
 
-    The family is checked once, before any seq is read: it must lie in
+
+def _saturate(n: int, blocks, fam: UniformFamily, k: int) -> tuple[SaturationStatus, ...]:
+    """The saturation status of each row of ``blocks`` (checked ``(h1,
+    h2)`` pairs, as :func:`_order_blocks` yields them) under ``fam``, in
+    order.
+
+    The family is checked once, before any block is read: it must lie in
     the union family at its cardinality r with k*r < (k-1)*2n strictly.
-    :func:`common_index` (a function of the member starts alone) runs
-    once per distinct tuple of starts, and each distinct outcome is one
-    shared status.
+    A block is read whole, each row's vertex bits in a lane of its own,
+    L bytes wide, L the fewest of 1, 2, 4, 8 that hold 2n bits.  Each
+    position's column (``h1[q::n]``, ``h2[q::n]``) becomes a run of
+    lanes, one per row, and the runs of positions 1..2n, twice round the
+    circle, one int; OR-ing r copies of it, each shifted one more column
+    down, leaves in column p every row's window starting at position p
+    (a shift moves whole columns, so each lane stays one row's).  Every
+    window of the block is then looked up in the family in one pass.  A
+    row's window flags give its member starts; :func:`common_index` (a
+    function of the starts alone) runs once per distinct tuple of them,
+    and each distinct outcome is one shared status.
     """
     graph = MatchingGraph(n)
     size, r = graph.vertex_count, fam.r
@@ -414,30 +440,49 @@ def _saturate(n: int, seqs, fam: UniformFamily, k: int) -> tuple[SaturationStatu
         raise ParameterError("family universe does not match the order's graph")
     require_int_in("r", r, 1, size - 1)
     require_regime(k, r, size, True, "saturation analysis")
+    full = max(0, r - n)            # the full edges of a union-family member
     for s in fam.sets:
-        if graph.full_edge_count(s) != max(0, r - n):
+        if graph.full_edge_count(s) != full:
             raise ParameterError(
                 f"family member {s:#x} is not in the union family for r={r}")
-    members = frozenset(fam.sets)
-    common = {}                     # member starts -> their common position
+    member = frozenset(fam.sets).__contains__
+    width = 1 << (size - 1 >> 3).bit_length()      # L, the fewest bytes holding 2n bits
+    lane, tables = _lanes(width)
+    seen = {}                       # a row's window flags -> (member count, common position or 0)
     shared = {}                     # a status's fields -> the status
     out = []
-    for seq in seqs:
-        starts = tuple([p for p, mask in enumerate(_windows(seq, r), 1) if mask in members])
-        if len(starts) > r:
-            raise IntegrityError(
-                f"{len(starts)} members appear as windows but at most {r} are "
-                "possible for a k-wise intersecting family")
-        if len(starts) < r:
-            key = False, len(starts)
-        else:
-            if starts not in common:
-                common[starts] = common_index(IntervalFamily(size, r, starts), k)
-            position = common[starts]
-            key = True, r, position, seq[position - 1]
-        if key not in shared:
-            shared[key] = SaturationStatus(*key)
-        out.append(shared[key])
+    for h1, h2 in blocks:
+        rows = len(h1) // n
+        vertices = b"".join([half[q::n] for half in (h1, h2) for q in range(n)])
+        lanes = bytearray(len(vertices) * width)        # row i at position p: lane (p-1)*rows + i
+        for j, table in enumerate(tables):
+            lanes[j::width] = vertices.translate(table)
+        column = rows * width * 8   # the bits of one position's run of lanes
+        circle = int.from_bytes(lanes, "little")
+        circle |= circle << size * column
+        windows = 0
+        for j in range(r):
+            windows |= circle >> j * column
+        windows = windows.to_bytes(2 * len(lanes), "little")[:len(lanes)]
+        flags = bytes(map(member, memoryview(windows).cast(lane)))
+        for row in range(rows):
+            row_flags = flags[row::rows]
+            if row_flags not in seen:
+                starts = tuple(compress(range(1, size + 1), row_flags))
+                if len(starts) > r:
+                    raise IntegrityError(
+                        f"{len(starts)} members appear as windows but at most {r} are "
+                        "possible for a k-wise intersecting family")
+                seen[row_flags] = len(starts), (common_index(IntervalFamily(size, r, starts), k)
+                                                if len(starts) == r else 0)
+            count, position = seen[row_flags]
+            if position:
+                key = True, r, position, vertices[(position - 1) * rows + row]
+            else:
+                key = False, count
+            if key not in shared:
+                shared[key] = SaturationStatus(*key)
+            out.append(shared[key])
     return tuple(out)
 
 
@@ -457,7 +502,8 @@ def saturation(order: GoodCyclicOrder, fam: UniformFamily,
     require_type("order", order, GoodCyclicOrder)
     require_type("fam", fam, UniformFamily)
     require_arity(k)
-    return _saturate(order.n, [order.seq], fam, k)[0]
+    n, seq = order.n, order.seq     # one order is a block of one row
+    return _saturate(n, [(bytes(seq[:n]), bytes(seq[n:]))], fam, k)[0]
 
 
 def saturation_sweep(n: int, fam: UniformFamily, k: int) -> tuple[SaturationStatus, ...]:
@@ -466,13 +512,14 @@ def saturation_sweep(n: int, fam: UniformFamily, k: int) -> tuple[SaturationStat
     and exceptions.
 
     The arguments and the family are checked once, before any order is
-    read; the orders are then read from the enumerator one checked row
-    at a time, and no row is kept.
+    read; the orders are then read from the enumerator one checked block
+    at a time, every window of every row of a block at once, one bit-lane
+    per row, and no block is kept.
     """
     _require_enumerable(n)
     require_type("fam", fam, UniformFamily)
     require_arity(k)
-    return _saturate(n, _order_rows(n), fam, k)
+    return _saturate(n, _order_blocks(n), fam, k)
 
 
 @dataclass(frozen=True)

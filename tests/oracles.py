@@ -196,6 +196,26 @@ def windows_of(seq: tuple[int, ...], r: int) -> set[frozenset[int]]:
             for s in range(size)}
 
 
+def saturation_of(seq: tuple[int, ...], members: set[frozenset[int]], r: int
+                  ) -> tuple[bool, int, int | None, int | None] | str:
+    """One good order's saturation by a family of r-sets, from the
+    definitions: the members among its windows (``windows_of``), at most
+    r of them.  Fewer than r give (False, count, None, None).  Exactly r
+    saturate the order when they are the r windows through one position
+    p, which gives (True, r, p, the vertex at p); r members that are not
+    give "scattered", and more than r give "over"."""
+    windows = windows_of(seq, r)
+    hits = windows & members
+    if len(hits) > r:
+        return "over"
+    if len(hits) < r:
+        return False, len(hits), None, None
+    for v in frozenset.intersection(*hits):
+        if {w for w in windows if v in w} == hits:
+            return True, r, seq.index(v) + 1, v
+    return "scattered"
+
+
 def first_kwise_witness(members: tuple[int, ...], k: int
                         ) -> tuple[int, ...] | None:
     """The first members with an empty intersection in the k-wise

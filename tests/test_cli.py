@@ -281,6 +281,9 @@ MALFORMED = [
     (["circle", "--n", "3", "--action", "moves", "--r", "99"], 2, "parameter"),
     # a negative seed would replay its absolute value's run
     (["fuzz", "--target", "assignment", "--seed", "-1"], 2, "parameter"),
+    # saturate checks n against the sweep's order cap before it builds the star
+    (["circle", "--n", "20", "--r", "20", "--action", "saturate"], 3, "capacity"),
+    (["circle", "--n", "30", "--r", "31", "--action", "saturate"], 3, "capacity"),
 ]
 
 # input that argparse itself rejects: exit 2 before a format is known
@@ -317,6 +320,20 @@ def test_malformed_arguments(capsys, argv, code, kind):
     assert obj["error"]["type"] == kind and obj["error"]["message"]
     got, out = run_cli(capsys, *argv)
     assert got == code and out == ""            # text: diagnostic on stderr only
+
+
+@pytest.mark.parametrize("n, r", [(20, 20), (30, 31)])
+def test_saturate_checks_the_order_cap_first(capsys, n, r):
+    # the cap is named, not the size of a star that was never built
+    got, out = run_cli(capsys, "circle", "--n", str(n), "--r", str(r),
+                       "--action", "saturate", "--format", "json")
+    assert got == 3
+    assert json.loads(out)["error"]["message"] == f"n is supported up to 8, got {n}"
+    # a malformed r is still reported before the cap on n
+    got, out = run_cli(capsys, "circle", "--n", str(n), "--r", str(2 * n),
+                       "--action", "saturate", "--format", "json")
+    assert got == 2
+    assert json.loads(out)["error"]["message"] == f"r must be in 1..{2 * n - 1}, got {2 * n}"
 
 
 @pytest.mark.parametrize("argv", UNPARSABLE)

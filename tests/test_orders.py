@@ -7,9 +7,9 @@ import types
 import pytest
 
 from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
-                       MatchingGraph, MatchwiseError, ParameterError, UniformFamily,
-                       connectivity_check, construct_order_containing, counting_bound,
-                       enumerate_good_orders, enumerated_order_count,
+                       MatchingGraph, MatchwiseError, ParameterError, SaturationStatus,
+                       UniformFamily, connectivity_check, construct_order_containing,
+                       counting_bound, enumerate_good_orders, enumerated_order_count,
                        good_order_count, identity_order, intervals, is_interval,
                        mask_of, matching_star_bound, matching_universe,
                        move_lemma_check, normalize_rotation, orders_containing_count, saturation, saturation_sweep,
@@ -17,7 +17,8 @@ from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
 from matchwise import orders
 from matchwise.cli import main
 
-from oracles import brute_good_orders, move_lemma_sweep, reference_good_orders, windows_of
+from oracles import (brute_good_orders, move_lemma_sweep, reference_good_orders,
+                     saturation_of, windows_of)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +573,38 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
+def _status(run):
+    """What ``run`` returns, or the class of the MatchwiseError it raises."""
+    try:
+        return run()
+    except MatchwiseError as exc:
+        return type(exc)
+
+
+def _oracle(seqs, fam):
+    """The window oracle's status for each of ``seqs``, or IntegrityError
+    where more than r members are windows or r are not the windows
+    through one position (where common_index rejects them)."""
+    members = {frozenset(v for v in range(1, fam.universe_size + 1) if mask >> v - 1 & 1)
+               for mask in fam.sets}
+    outcomes = [saturation_of(seq, members, fam.r) for seq in seqs]
+    return [IntegrityError if isinstance(got, str) else SaturationStatus(*got)
+            for got in outcomes]
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_sweep_matches_saturation_of_every_order(n):
+    # the sweep and one-order saturation, each against the window oracle
+    # on the reference orders: the sweep raises where any order does
+    rng = random.Random(n)
+
     def same_outcome(fam, k):
-        looped = _outcome(lambda: tuple(
-            saturation(order, fam, k) for order in enumerate_good_orders(n)))
-        assert _outcome(lambda: saturation_sweep(n, fam, k)) == looped
-        return looped
+        expected = _oracle(reference_good_orders(n), fam)
+        assert [_status(lambda: saturation(GoodCyclicOrder(n, seq), fam, k))
+                for seq in reference_good_orders(n)] == expected
+        swept = _status(lambda: saturation_sweep(n, fam, k))
+        assert swept == (IntegrityError if IntegrityError in expected else tuple(expected))
+        return swept
 
     for r in range(1, 2 * n):
         k = 2 * n // (2 * n - r) + 1            # the smallest strict k
@@ -591,7 +617,41 @@ def test_sweep_matches_saturation_of_every_order(n):
         same_outcome(UniformFamily(2 * n, r, star.sets[1:]), k)
         # not k-wise intersecting: more than r windows in the identity order
         over = UniformFamily.from_masks(2 * n, r, star.sets + universe.star(1).sets)
-        assert same_outcome(over, k)[0] is IntegrityError
+        assert same_outcome(over, k) is IntegrityError
+        # random union subfamilies, most neither stars nor k-wise intersecting
+        for _ in range(3):
+            same_outcome(UniformFamily.from_masks(
+                2 * n, r, rng.sample(universe.sets, rng.randint(0, len(universe)))), k)
+
+
+def _random_good_order(rng, n):
+    """A normalized good order drawn as the enumerator lays them out: the
+    edges 1..n-1 in a random order at positions 1..n-1, each by a random
+    endpoint, vertex n at position n and each partner n positions on."""
+    half = [e + n * rng.randrange(2) for e in rng.sample(range(1, n), n - 1)] + [n]
+    return GoodCyclicOrder(n, tuple(half + [v + n if v <= n else v - n for v in half]))
+
+
+@pytest.mark.parametrize("n", [9, 16, 17, 32])
+def test_saturation_in_wide_lanes_matches_the_oracle(n):
+    # 2n = 18..64 bits need lanes of 4 and 8 bytes, which no sweep reaches
+    rng = random.Random(n)
+    outcomes = set()
+    for _ in range(40):
+        order = _random_good_order(rng, n)
+        r = rng.randrange(1, 2 * n)
+        k = 2 * n // (2 * n - r) + 1
+        windows = [mask for _, mask in intervals(order, r)]
+        p = rng.randrange(2 * n)
+        through = [windows[(p - j) % (2 * n)] for j in range(r)]
+        other = [mask for _, mask in intervals(_random_good_order(rng, n), r)]
+        for masks in (through, through[1:], rng.sample(windows, rng.randint(0, 2 * n)),
+                      rng.sample(through + other, rng.randint(0, r + 2))):
+            fam = UniformFamily.from_masks(2 * n, r, set(masks))
+            got = _status(lambda: saturation(order, fam, k))
+            assert [got] == _oracle([order.seq], fam)
+            outcomes.add(got if got is IntegrityError else got.saturated)
+    assert outcomes == {True, False, IntegrityError}
 
 
 def test_sweep_runs_common_index_once_per_arc_family(monkeypatch):
