@@ -67,6 +67,12 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _full_edges(n: int, mask: int) -> int:
+    """The edges {i, i+n} of M_n with both endpoints in ``mask``, a mask
+    of vertices 1..2n that callers check."""
+    return (mask & mask >> n).bit_count()
+
+
 @dataclass(frozen=True)
 class MatchingGraph:
     """The perfect matching on 2n vertices; edge i is {i, i+n}."""
@@ -98,8 +104,8 @@ class MatchingGraph:
 
     def full_edge_count(self, mask: int) -> int:
         """Number of edges with both endpoints in ``mask``."""
-        lo, hi = self._ends(mask)
-        return (lo & hi).bit_count()
+        self._ends(mask)            # the checks
+        return _full_edges(self.n, mask)
 
     def is_independent(self, mask: int) -> bool:
         return self.full_edge_count(mask) == 0
@@ -309,17 +315,11 @@ def _kwise_witness(members, k: int) -> tuple[int, ...] | None:
     def descend(start: int, inter: int, left: int) -> tuple[int, ...] | None:
         if inter & common[start] or (inter, left) in failed:
             return None
-        if left == 1:               # the first member disjoint from inter
-            for i in range(start, len(members)):
-                if not inter & members[i]:
-                    return (*chosen, members[i])
-        else:
-            for i in range(start, len(members)):
-                meet = inter & members[i]
-                if meet == inter:
-                    continue
-                if not meet:
-                    return (*chosen, members[i])
+        for i in range(start, len(members)):
+            meet = inter & members[i]
+            if not meet:            # the first member disjoint from inter
+                return (*chosen, members[i])
+            if left > 1 and meet != inter:  # a member that shrinks inter
                 chosen.append(members[i])
                 found = descend(i + 1, meet, left - 1)
                 chosen.pop()

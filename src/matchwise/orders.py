@@ -36,7 +36,8 @@ from .arcs import IntervalFamily, common_index
 from .errors import (IntegrityError, MatchwiseError, ParameterError, require_arity,
                      require_int, require_int_in, require_mask, require_regime,
                      require_type)
-from .families import MatchingGraph, UniformFamily, _orbit, is_k_wise_intersecting
+from .families import (MatchingGraph, UniformFamily, _full_edges, _orbit,
+                       is_k_wise_intersecting)
 
 
 @dataclass(frozen=True)
@@ -442,7 +443,7 @@ def _saturate(n: int, blocks, fam: UniformFamily, k: int) -> tuple[SaturationSta
     require_regime(k, r, size, True, "saturation analysis")
     full = max(0, r - n)            # the full edges of a union-family member
     for s in fam.sets:
-        if graph.full_edge_count(s) != full:
+        if _full_edges(n, s) != full:
             raise ParameterError(
                 f"family member {s:#x} is not in the union family for r={r}")
     member = frozenset(fam.sets).__contains__

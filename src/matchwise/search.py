@@ -471,24 +471,20 @@ def max_kwise_family(problem: SearchProblem) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExtremalReport:
-    """Result of checking the closed-form bound and star uniqueness."""
+class ExtremalReport(SearchResult):
+    """Result of checking the closed-form bound and star uniqueness: the
+    search's :class:`SearchResult`, prune counts included, whose
+    ``all_are_stars`` is two-sided when uniqueness is asserted."""
 
     n: int
     r: int
     k: int
     mode: str
     bound_expected: int
-    max_size: int
     bound_met: bool
     boundary: bool
     uniqueness_asserted: bool
-    all_are_stars: bool | None
-    star_centers: tuple[int, ...]
     witness_count: int
-    witnesses: tuple[UniformFamily, ...]
-    explored_nodes: int
-    elapsed: float
 
     @property
     def ok(self) -> bool:
@@ -562,16 +558,11 @@ def verify_extremal_characterization(n: int, r: int, k: int,
         # uniqueness is two-sided: every star must also be a witness
         all_are_stars = len(result.star_centers) == 2 * n
     return ExtremalReport(
+        **{**vars(result), "all_are_stars": all_are_stars},
         n=n, r=r, k=k, mode=mode,
         bound_expected=bound,
-        max_size=result.max_size,
         bound_met=result.max_size == bound,
         boundary=boundary,
         uniqueness_asserted=uniqueness_asserted,
-        all_are_stars=all_are_stars,
-        star_centers=result.star_centers,
         witness_count=len(result.witnesses),
-        witnesses=result.witnesses,
-        explored_nodes=result.explored_nodes,
-        elapsed=result.elapsed,
     )

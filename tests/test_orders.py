@@ -7,7 +7,7 @@ import types
 import pytest
 
 from matchwise import (CapacityError, GoodCyclicOrder, IntegrityError,
-                       MatchingGraph, MatchwiseError, ParameterError, SaturationStatus,
+                       MatchwiseError, ParameterError, SaturationStatus,
                        UniformFamily, connectivity_check, construct_order_containing,
                        counting_bound, enumerate_good_orders, enumerated_order_count,
                        good_order_count, identity_order, intervals, is_interval,
@@ -682,14 +682,14 @@ def test_sweep_preconditions():
 
 def test_saturation_checks_a_family_once(monkeypatch):
     calls = 0
-    full_edge_count = MatchingGraph.full_edge_count
+    full_edges = orders._full_edges
 
-    def counted(self, mask):
+    def counted(n, mask):
         nonlocal calls
         calls += 1
-        return full_edge_count(self, mask)
+        return full_edges(n, mask)
 
-    monkeypatch.setattr(MatchingGraph, "full_edge_count", counted)
+    monkeypatch.setattr(orders, "_full_edges", counted)
     star = matching_universe(6, 8).star(12)
     statuses = saturation_sweep(6, star, 4)
     assert len(statuses) == 3840 and all(st.common_vertex == 12 for st in statuses)

@@ -703,6 +703,21 @@ def test_characterization_m4_r5_k3():
     assert report.ok
 
 
+@pytest.mark.parametrize("n, r, k, mode", [
+    (n, r, k, mode) for n in range(1, 5) for r in range(n, 2 * n)
+    for k in _admissible_ks(n, r, 2) for mode in search.MODES])
+def test_characterization_report_is_the_search_result(n, r, k, mode):
+    # the report is the search's own result, prune counts included; only
+    # the timing and the two-sided all_are_stars are its own
+    report = verify_extremal_characterization(n, r, k, mode)
+    result = max_kwise_family(SearchProblem(
+        matching_universe(n, r), k, mode, matching_symmetry_generators(n)))
+    assert isinstance(report, search.SearchResult)
+    for field in dataclasses.fields(search.SearchResult):
+        if field.name not in ("elapsed", "all_are_stars"):
+            assert getattr(report, field.name) == getattr(result, field.name), field.name
+
+
 def test_characterization_needs_every_star_as_a_witness(monkeypatch):
     # negative control: with star(1) missing from the witnesses, every
     # witness is still a star, yet uniqueness fails
